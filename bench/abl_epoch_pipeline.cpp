@@ -81,7 +81,7 @@ Row run(bool pipelined, bool ring) {
   opts.sync_batch_lines = 256;
   opts.track_lines = true;
   opts.pipeline_depth = pipelined ? 2 : 0;
-  opts.log_ring_slots = ring ? 512 : 0;
+  opts.device.log_ring_slots = ring ? 512 : 0;
 
   double stall_us = 0, tail_us = 0;
   int last_epoch_byte = 0;

@@ -1,15 +1,14 @@
-// Ablation — batched, parallel libpax host sync path.
+// Ablation — batched libpax host sync path.
 //
-// PR "feed the striped device": persist()'s host half used to walk dirty
-// pages one line at a time — peek_line + write_intent + writeback_line, 3
-// device calls (and up to 4 lock acquisitions) per dirty line. The batched
-// path diffs pages across a worker pool and pushes dirty lines through
+// The per-line host sync walks dirty pages one line at a time — peek_line +
+// write_intent + writeback_line, 3 device calls (and up to 4 lock
+// acquisitions) per dirty line. The batched path pushes dirty lines through
 // PaxDevice::sync_lines, which fuses intent + writeback and appends each
 // stripe group's undo records under one log-mutex hold. This bench sweeps
-// diff_workers x sync_batch_lines over a dirty-page-heavy workload and
-// reports persist wall time, device calls per dirty line (legacy = 3.0
-// exactly when every checked line is dirty), and log-mutex acquisitions per
-// epoch. workers=1 x batch=1 is the pre-PR baseline.
+// sync_batch_lines over a dirty-page-heavy workload and reports persist
+// wall time, device calls per dirty line (legacy = 3.0 exactly when every
+// checked line is dirty), and log-mutex acquisitions per epoch. batch=1 is
+// the per-line baseline.
 //
 // Results land in BENCH_host_sync.json (cwd) for the driver.
 #include <chrono>
@@ -32,7 +31,6 @@ constexpr std::size_t kDirtyPages = 512;  // 2 MiB rewritten per epoch
 constexpr int kEpochs = 4;
 
 struct Row {
-  unsigned workers;
   std::size_t batch;
   double persist_ms_mean;
   double device_calls_per_dirty_line;
@@ -41,7 +39,7 @@ struct Row {
   bool correct;
 };
 
-Row run(unsigned workers, std::size_t batch) {
+Row run(std::size_t batch) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
 
   RuntimeOptions opts;
@@ -49,8 +47,6 @@ Row run(unsigned workers, std::size_t batch) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = batch;
-  opts.diff_workers = workers;
-  opts.diff_fanout_min_pages = 1;
 
   double persist_ms = 0;
   std::uint64_t dirty_lines = 0;
@@ -105,8 +101,7 @@ Row run(unsigned workers, std::size_t batch) {
     }
   }
 
-  return Row{workers,
-             batch,
+  return Row{batch,
              persist_ms / kEpochs,
              calls_per_line,
              log_acq_per_epoch,
@@ -118,47 +113,31 @@ Row run(unsigned workers, std::size_t batch) {
 
 int main() {
   const unsigned cpus = std::thread::hardware_concurrency();
-  std::printf("=== Batched parallel host sync: persist() cost sweep ===\n");
+  std::printf("=== Batched host sync: persist() cost sweep ===\n");
   std::printf("host cpus: %u, dirty pages/epoch: %zu (%zu lines)\n", cpus,
               kDirtyPages, kDirtyPages * kLinesPerPage);
-  if (cpus <= 1) {
-    std::printf(
-        "NOTE: single-CPU host — diff workers are time-sliced, so the\n"
-        "multi-worker speedup cannot show; batching gains still apply.\n");
-  }
-  std::printf("%8s %6s %13s %17s %15s %8s\n", "workers", "batch",
-              "persist[ms]", "dev calls/line", "log acq/epoch", "correct");
+  std::printf("%6s %13s %17s %15s %8s\n", "batch", "persist[ms]",
+              "dev calls/line", "log acq/epoch", "correct");
 
   std::vector<Row> rows;
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    for (std::size_t batch : {std::size_t{1}, std::size_t{64},
-                              std::size_t{256}, std::size_t{1024}}) {
-      Row r = run(workers, batch);
-      rows.push_back(r);
-      std::printf("%8u %6zu %13.3f %17.3f %15.1f %8s\n", r.workers, r.batch,
-                  r.persist_ms_mean, r.device_calls_per_dirty_line,
-                  r.log_acquisitions_per_epoch, r.correct ? "yes" : "NO");
-      std::fflush(stdout);
-    }
+  for (std::size_t batch : {std::size_t{1}, std::size_t{64}, std::size_t{256},
+                            std::size_t{1024}}) {
+    Row r = run(batch);
+    rows.push_back(r);
+    std::printf("%6zu %13.3f %17.3f %15.1f %8s\n", r.batch,
+                r.persist_ms_mean, r.device_calls_per_dirty_line,
+                r.log_acquisitions_per_epoch, r.correct ? "yes" : "NO");
+    std::fflush(stdout);
   }
 
   // Headlines the acceptance criteria read off directly.
   double legacy_calls = 0, batched_calls = 0;
-  double serial_ms = 0, parallel_ms = 0;
   for (const Row& r : rows) {
-    if (r.workers == 1 && r.batch == 1) legacy_calls = r.device_calls_per_dirty_line;
-    if (r.workers == 4 && r.batch == 256) {
-      batched_calls = r.device_calls_per_dirty_line;
-      parallel_ms = r.persist_ms_mean;
-    }
-    if (r.workers == 1 && r.batch == 256) serial_ms = r.persist_ms_mean;
+    if (r.batch == 1) legacy_calls = r.device_calls_per_dirty_line;
+    if (r.batch == 256) batched_calls = r.device_calls_per_dirty_line;
   }
   std::printf("\ndevice calls per dirty line: %.3f (legacy) -> %.3f "
               "(batch=256)\n", legacy_calls, batched_calls);
-  if (parallel_ms > 0) {
-    std::printf("diff_workers=4 vs 1 persist speedup at batch=256: %.2fx\n",
-                serial_ms / parallel_ms);
-  }
 
   std::FILE* out = std::fopen("BENCH_host_sync.json", "w");
   if (out == nullptr) {
@@ -173,18 +152,16 @@ int main() {
                legacy_calls);
   std::fprintf(out, "  \"device_calls_per_dirty_line_batched\": %.3f,\n",
                batched_calls);
-  std::fprintf(out, "  \"speedup_4w_vs_1w_batch256\": %.3f,\n",
-               parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"diff_workers\": %u, \"sync_batch_lines\": %zu, "
+                 "    {\"sync_batch_lines\": %zu, "
                  "\"persist_ms_mean\": %.3f, "
                  "\"device_calls_per_dirty_line\": %.3f, "
                  "\"log_append_acquisitions_per_epoch\": %.1f, "
                  "\"dirty_lines\": %" PRIu64 ", \"correct\": %s}%s\n",
-                 r.workers, r.batch, r.persist_ms_mean,
+                 r.batch, r.persist_ms_mean,
                  r.device_calls_per_dirty_line,
                  r.log_acquisitions_per_epoch, r.dirty_lines,
                  r.correct ? "true" : "false",

@@ -1,14 +1,14 @@
-// Ablation — line-granular incremental diffing + adaptive sync tuning.
+// Ablation — line-granular incremental diffing.
 //
-// PR "incremental diff": the batched host sync path used to memcmp all 64
-// lines of every dirty page against a fetched device shadow, so persist()
-// paid for pages touched, not lines written. With track_lines, the region
-// keeps per-page candidate bitmaps and per-line digests of the last-synced
+// Without line tracking the batched host sync path memcmps all 64 lines of
+// every dirty page against a fetched device shadow, so persist() pays for
+// pages touched, not lines written. With track_lines, the region keeps
+// per-page candidate bitmaps and per-line digests of the last-synced
 // contents; the diff skips digest-clean lines without touching the shadow
 // and fetches only the candidates. This bench sweeps dirty-line density x
-// tracking on/off x tuner on/off over a fixed dirty-page set and reports
-// bytes memcmp'd per epoch (the quantity tracking is meant to crush),
-// persist wall time, and the tuner's final knob choices.
+// tracking on/off over a fixed dirty-page set and reports bytes memcmp'd
+// per epoch (the quantity tracking is meant to crush) and persist wall
+// time.
 //
 // Expectations encoded in the headline fields:
 //   * at <= 12.5% density (8/64 lines) tracking cuts bytes memcmp'd by
@@ -41,18 +41,15 @@ constexpr int kEpochs = 4;  // measured; one extra seed epoch runs first
 struct Row {
   std::size_t density;  // dirty lines per page, out of kLinesPerPage
   bool tracked;
-  bool tuner;
   double persist_ms_mean;
   double bytes_memcmp_per_epoch;
   double lines_diffed_per_epoch;
   double lines_skipped_per_epoch;
   double lines_synced_per_epoch;
-  std::size_t last_batch_lines;
-  unsigned last_diff_workers;
   bool correct;
 };
 
-Row run(std::size_t density, bool tracked, bool tuner) {
+Row run(std::size_t density, bool tracked) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
 
   RuntimeOptions opts;
@@ -60,10 +57,7 @@ Row run(std::size_t density, bool tracked, bool tuner) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
-  opts.diff_workers = 4;
-  opts.diff_fanout_min_pages = 1;
   opts.track_lines = tracked;
-  opts.adaptive_sync = tuner;
 
   double persist_ms = 0;
   SyncStats base{}, after{};
@@ -123,14 +117,11 @@ Row run(std::size_t density, bool tracked, bool tuner) {
       static_cast<double>(after.lines_synced - base.lines_synced) / kEpochs;
   return Row{density,
              tracked,
-             tuner,
              persist_ms / kEpochs,
              diffed * kCacheLineSize,
              diffed,
              skipped,
              synced,
-             after.last_batch_lines,
-             after.last_diff_workers,
              correct};
 }
 
@@ -141,53 +132,46 @@ int main() {
   std::printf("=== Incremental diff: bytes memcmp'd vs dirty density ===\n");
   std::printf("host cpus: %u, dirty pages/epoch: %zu, lines/page: %zu\n",
               cpus, kDirtyPages, kLinesPerPage);
-  std::printf("%8s %8s %6s %13s %15s %13s %11s %6s %3s %8s\n", "density",
-              "tracked", "tuner", "persist[ms]", "memcmp B/ep",
-              "diffed/ep", "synced/ep", "batch", "w", "correct");
+  std::printf("%8s %8s %13s %15s %13s %11s %8s\n", "density", "tracked",
+              "persist[ms]", "memcmp B/ep", "diffed/ep", "synced/ep",
+              "correct");
 
   std::vector<Row> rows;
   for (std::size_t density : {std::size_t{1}, std::size_t{4}, std::size_t{6},
                               std::size_t{8}, std::size_t{16},
                               std::size_t{64}}) {
     for (bool tracked : {false, true}) {
-      for (bool tuner : {false, true}) {
-        Row r = run(density, tracked, tuner);
-        rows.push_back(r);
-        std::printf("%5zu/64 %8s %6s %13.3f %15.0f %13.0f %11.0f %6zu %3u "
-                    "%8s\n",
-                    r.density, r.tracked ? "yes" : "no",
-                    r.tuner ? "yes" : "no", r.persist_ms_mean,
-                    r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
-                    r.lines_synced_per_epoch, r.last_batch_lines,
-                    r.last_diff_workers, r.correct ? "yes" : "NO");
-        std::fflush(stdout);
-      }
+      Row r = run(density, tracked);
+      rows.push_back(r);
+      std::printf("%5zu/64 %8s %13.3f %15.0f %13.0f %11.0f %8s\n", r.density,
+                  r.tracked ? "yes" : "no", r.persist_ms_mean,
+                  r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
+                  r.lines_synced_per_epoch, r.correct ? "yes" : "NO");
+      std::fflush(stdout);
     }
   }
 
   // Headlines the acceptance criteria read off directly.
-  auto find = [&](std::size_t density, bool tracked, bool tuner) -> const Row* {
+  auto find = [&](std::size_t density, bool tracked) -> const Row* {
     for (const Row& r : rows) {
-      if (r.density == density && r.tracked == tracked && r.tuner == tuner) {
-        return &r;
-      }
+      if (r.density == density && r.tracked == tracked) return &r;
     }
     return nullptr;
   };
-  const Row* untracked8 = find(8, false, false);
-  const Row* tracked8 = find(8, true, false);
+  const Row* untracked8 = find(8, false);
+  const Row* tracked8 = find(8, true);
   const double memcmp_ratio_12pct =
       (tracked8 != nullptr && untracked8 != nullptr &&
        tracked8->bytes_memcmp_per_epoch > 0)
           ? untracked8->bytes_memcmp_per_epoch /
                 tracked8->bytes_memcmp_per_epoch
           : 0.0;
-  const Row* guard = find(6, true, false);  // 6/64 ~= 9.4%, the ~10% point
+  const Row* guard = find(6, true);  // 6/64 ~= 9.4%, the ~10% point
   const double diffed_per_written_10pct =
       (guard != nullptr && guard->lines_synced_per_epoch > 0)
           ? guard->lines_diffed_per_epoch / guard->lines_synced_per_epoch
           : 0.0;
-  const Row* untracked_full = find(64, false, false);
+  const Row* untracked_full = find(64, false);
   const bool tracking_off_full_scan =
       untracked_full != nullptr &&
       untracked_full->lines_diffed_per_epoch >=
@@ -223,16 +207,14 @@ int main() {
     std::fprintf(
         out,
         "    {\"density_lines\": %zu, \"track_lines\": %s, "
-        "\"adaptive_sync\": %s, \"persist_ms_mean\": %.3f, "
+        "\"persist_ms_mean\": %.3f, "
         "\"bytes_memcmp_per_epoch\": %.0f, \"lines_diffed_per_epoch\": %.0f, "
         "\"lines_skipped_per_epoch\": %.0f, \"lines_synced_per_epoch\": %.0f, "
-        "\"last_batch_lines\": %zu, \"last_diff_workers\": %u, "
         "\"correct\": %s}%s\n",
-        r.density, r.tracked ? "true" : "false", r.tuner ? "true" : "false",
-        r.persist_ms_mean, r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
+        r.density, r.tracked ? "true" : "false", r.persist_ms_mean,
+        r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
         r.lines_skipped_per_epoch, r.lines_synced_per_epoch,
-        r.last_batch_lines, r.last_diff_workers, r.correct ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
+        r.correct ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -51,7 +51,7 @@ def main() -> int:
     for r in bad_rows:
         failures.append(
             f"row density={r['density_lines']} track={r['track_lines']} "
-            f"tuner={r['adaptive_sync']} recovered wrong state"
+            "recovered wrong state"
         )
 
     if failures:

@@ -158,6 +158,9 @@ struct Checker::Ring {
   // full, so the common-case emit never touches the consumer's cache line.
   std::uint64_t cached_head = 0;
   std::uint16_t tid = 0;
+  // Drained but not yet replayed (engine_mu_). One producer's FIFO, so it
+  // is already in seq order.
+  std::vector<Event> backlog;
 };
 
 // One open-addressed slot: the key doubles as the empty sentinel; 16 bytes
@@ -178,7 +181,6 @@ std::size_t line_slot_hash(std::uint64_t line) {
 
 Checker::Checker(const CheckerOptions& options)
     : options_(options), gen_(g_checker_gen.fetch_add(1) + 1) {
-  staged_.reserve(4096);
   recent_.resize(
       round_pow2(std::max<std::size_t>(options_.recent_events, 1024)));
 }
@@ -212,9 +214,9 @@ void Checker::emit(Event e) {
   if (tail - ring->cached_head > ring->mask) {
     ring->cached_head = ring->head.load(std::memory_order_acquire);
     if (tail - ring->cached_head > ring->mask) {
-      // Full: hand the backlog to the engine early (staged, not replayed —
-      // replay happens only at ordering points, where sorting by seq
-      // restores the global order).
+      // Full: hand the events to the engine early (drained, not replayed —
+      // replay happens only at ordering points, where merging the rings'
+      // backlogs by seq restores the global order).
       std::lock_guard lock(engine_mu_);
       drain_ring_locked(ring);
       ring->cached_head = ring->head.load(std::memory_order_relaxed);
@@ -250,37 +252,52 @@ void Checker::drain_ring_locked(Ring* ring) {
   const std::uint64_t lo = head & ring->mask;
   const std::uint64_t hi = tail & ring->mask;
   const Event* buf = ring->buf.data();
+  std::vector<Event>& backlog = ring->backlog;
   if (lo < hi || hi == 0) {
     const std::uint64_t end = hi == 0 ? ring->buf.size() : hi;
-    staged_.insert(staged_.end(), buf + lo, buf + end);
+    backlog.insert(backlog.end(), buf + lo, buf + end);
   } else {
-    staged_.insert(staged_.end(), buf + lo, buf + ring->buf.size());
-    staged_.insert(staged_.end(), buf, buf + hi);
+    backlog.insert(backlog.end(), buf + lo, buf + ring->buf.size());
+    backlog.insert(backlog.end(), buf, buf + hi);
   }
   ring->head.store(tail, std::memory_order_release);
 }
 
 void Checker::settle_locked() {
+  std::vector<Ring*> busy;
   {
     std::lock_guard lock(rings_mu_);
-    for (auto& ring : rings_) drain_ring_locked(ring.get());
+    for (auto& ring : rings_) {
+      drain_ring_locked(ring.get());
+      if (!ring->backlog.empty()) busy.push_back(ring.get());
+    }
   }
-  const auto by_seq = [](const Event& a, const Event& b) {
-    return a.seq < b.seq;
-  };
-  // Single-producer stretches stage already-ordered runs; skip the sort.
-  if (!std::is_sorted(staged_.begin(), staged_.end(), by_seq)) {
-    std::sort(staged_.begin(), staged_.end(), by_seq);
+  // Each backlog is seq-ordered, so a k-way merge over the few producer
+  // threads restores the global order without sorting.
+  std::vector<std::size_t> next(busy.size(), 0);
+  for (;;) {
+    Ring* pick = nullptr;
+    std::size_t pick_i = 0;
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      if (next[i] == busy[i]->backlog.size()) continue;
+      if (pick == nullptr ||
+          busy[i]->backlog[next[i]].seq < pick->backlog[next[pick_i]].seq) {
+        pick = busy[i];
+        pick_i = i;
+      }
+    }
+    if (pick == nullptr) break;
+    replay_event(pick->backlog[next[pick_i]++]);
   }
-  const std::uint64_t recent_mask = recent_.size() - 1;
-  for (const Event& e : staged_) {
-    recent_[recent_pos_++ & recent_mask] = e;
-    if (options_.record_events) recorded_.push_back(e);
-    process(e);
-  }
-  diag_.events += staged_.size();
-  staged_.clear();
+  for (Ring* ring : busy) ring->backlog.clear();
   ++diag_.settles;
+}
+
+void Checker::replay_event(const Event& e) {
+  recent_[recent_pos_++ & (recent_.size() - 1)] = e;
+  if (options_.record_events) recorded_.push_back(e);
+  process(e);
+  ++diag_.events;
 }
 
 Checker::LineState& Checker::line_state(std::uint64_t line) {
@@ -308,6 +325,24 @@ Checker::LineState* Checker::find_line(std::uint64_t line) {
     idx = (idx + 1) & mask;
   }
   return nullptr;
+}
+
+void Checker::erase_line(LineState* slot) {
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically after the hole, so every
+  // remaining key stays reachable without tombstones.
+  const std::size_t mask = line_slots_.size() - 1;
+  std::size_t hole = static_cast<std::size_t>(slot - line_slots_.data());
+  for (std::size_t idx = (hole + 1) & mask; line_slots_[idx].key != kNoLine;
+       idx = (idx + 1) & mask) {
+    const std::size_t home = line_slot_hash(line_slots_[idx].key) & mask;
+    if (((idx - home) & mask) >= ((idx - hole) & mask)) {
+      line_slots_[hole] = line_slots_[idx];
+      hole = idx;
+    }
+  }
+  line_slots_[hole] = LineState{};
+  --line_count_;
 }
 
 void Checker::rehash_lines() {
@@ -402,10 +437,10 @@ void Checker::process(const Event& e) {
       } else {
         ++flushes_since_drain_;
       }
-      LineState& ls = line_state(e.line);
-      if (ls.pending) {
-        ls.pending = false;
+      if (LineState* ls = find_line(e.line); ls != nullptr && ls->pending) {
+        ls->pending = false;
         --pending_count_;
+        if (!ls->pushed) erase_line(ls);
       }
       break;
     }
@@ -415,10 +450,8 @@ void Checker::process(const Event& e) {
     case EventType::kCrash:
       // Power loss resolves the pending overlay; in-flight sync state and
       // log watermarks restart from scratch with the next attach.
-      for (LineState& ls : line_slots_) {
-        ls.pending = false;
-        ls.pushed = false;
-      }
+      std::fill(line_slots_.begin(), line_slots_.end(), LineState{});
+      line_count_ = 0;
       for (auto& pushed : pushed_by_tid_) pushed.clear();
       pending_count_ = 0;
       flushes_since_drain_ = 0;
@@ -545,6 +578,7 @@ void Checker::process(const Event& e) {
           if (LineState* ls = find_line(line);
               ls != nullptr && ls->pushed && ls->pushed_tid == e.tid) {
             ls->pushed = false;
+            if (!ls->pending) erase_line(ls);
           }
         }
         pushed_by_tid_[e.tid].clear();
@@ -553,8 +587,8 @@ void Checker::process(const Event& e) {
     }
     case EventType::kDigestApply: {
       if (!options_.persist_order) break;
-      LineState& ls = line_state(e.line);
-      if (ls.pushed) {
+      if (const LineState* ls = find_line(e.line);
+          ls != nullptr && ls->pushed) {
         add_violation(Rule::kDigestBeforeBatchOutcome, e, e.line,
                       "digest for line " + std::to_string(e.line) +
                           " applied while its sync_lines batch is still "
@@ -618,13 +652,18 @@ Report Checker::report() {
 
 Report Checker::replay(std::span<const Event> events) {
   std::lock_guard lock(engine_mu_);
-  // Anything already emitted live settles first, then the trace is staged
-  // verbatim (no re-ticketing) and settled in its recorded seq order.
+  // Anything already emitted live settles first, then the trace is
+  // replayed verbatim (no re-ticketing) in its recorded seq order.
   settle_locked();
-  staged_.insert(staged_.end(), events.begin(), events.end());
+  std::vector<Event> sorted(events.begin(), events.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Event& a, const Event& b) { return a.seq < b.seq; });
   std::uint64_t max_seq = seq_.load(std::memory_order_relaxed);
-  for (const Event& e : events) max_seq = std::max(max_seq, e.seq);
-  settle_locked();
+  for (const Event& e : sorted) {
+    replay_event(e);
+    max_seq = std::max(max_seq, e.seq);
+  }
+  ++diag_.settles;
   // Live events emitted after the replay must order after the trace.
   seq_.store(max_seq, std::memory_order_relaxed);
   return snapshot_report_locked();

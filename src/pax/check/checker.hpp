@@ -221,11 +221,13 @@ class Checker {
   Ring* ring_for_this_thread();
   void drain_ring_locked(Ring* ring);
   void settle_locked();
+  void replay_event(const Event& e);
   Report snapshot_report_locked() const;
   void process(const Event& e);
   void process_lock_acquire(const Event& e);
   LineState& line_state(std::uint64_t line);
   LineState* find_line(std::uint64_t line);
+  void erase_line(LineState* slot);
   void rehash_lines();
   void add_violation(Rule rule, const Event& e, std::uint64_t dedup_key,
                      std::string detail);
@@ -244,12 +246,14 @@ class Checker {
 
   // Engine state; engine_mu_ serializes draining + replay. Per-line state
   // lives in an open-addressed table of 16-byte slots (one cache-friendly
-  // probe per line event, no allocation once warm) with a pending counter
-  // so clean epoch commits never scan it; in-flight batch membership is a
-  // per-thread line list; backtraces are mined from a global recent-event
-  // ring (sequential writes) only when a violation actually fires.
+  // probe per line event, no allocation once warm); a line leaves the table
+  // once it is neither pending nor pushed, so the table holds only in-flight
+  // lines and stays cache-resident however many lines a run touches. A
+  // pending counter means clean epoch commits never scan it; in-flight
+  // batch membership is a per-thread line list; backtraces are mined from a
+  // global recent-event ring (sequential writes) only when a violation
+  // actually fires.
   std::mutex engine_mu_;
-  std::vector<Event> staged_;  // drained but not yet replayed
   std::vector<LineState> line_slots_;  // power-of-2 open addressing
   std::size_t line_count_ = 0;
   std::uint64_t pending_count_ = 0;  // lines stored but not flushed

@@ -710,15 +710,11 @@ std::string KvServer::stats_json() const {
             static_cast<unsigned long long>(r.sync_batches));
     appendf(out,
             "     \"sync\": {\"pages_scanned\": %llu, \"lines_diffed\": "
-            "%llu, \"lines_skipped\": %llu, \"lines_synced\": %llu, "
-            "\"tuner_decisions\": %llu, \"last_batch_lines\": %zu, "
-            "\"last_diff_workers\": %u},\n",
+            "%llu, \"lines_skipped\": %llu, \"lines_synced\": %llu},\n",
             static_cast<unsigned long long>(sync.pages_scanned),
             static_cast<unsigned long long>(sync.lines_diffed),
             static_cast<unsigned long long>(sync.lines_skipped),
-            static_cast<unsigned long long>(sync.lines_synced),
-            static_cast<unsigned long long>(sync.tuner_decisions),
-            sync.last_batch_lines, sync.last_diff_workers);
+            static_cast<unsigned long long>(sync.lines_synced));
     appendf(out,
             "     \"pipeline\": {\"async_persists\": %llu, "
             "\"jobs_drained\": %llu, \"backpressure_waits\": %llu},\n",

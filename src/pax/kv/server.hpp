@@ -165,10 +165,9 @@ class KvServer {
   KvServerStats stats() const;
 
   /// The STATS payload: server counters plus serving-plane shape (backend,
-  /// loops) plus, per shard, the runtime's RuntimeStats/SyncStats
-  /// (including the SyncTuner's current knob decisions), PipelineStats,
-  /// device log-flush counters, and the group-commit wave stats — the
-  /// observability surface for adaptive tuning under live traffic.
+  /// loops) plus, per shard, the runtime's RuntimeStats/SyncStats,
+  /// PipelineStats, device log-flush counters, and the group-commit wave
+  /// stats — the observability surface for tuning under live traffic.
   std::string stats_json() const;
 
  private:

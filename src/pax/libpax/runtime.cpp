@@ -13,9 +13,7 @@ namespace pax::libpax {
 
 RuntimeOptions RuntimeOptions::deterministic(RuntimeOptions base) {
   base.start_flusher_thread = false;
-  base.diff_workers = 1;
   base.device.persist_workers = 1;
-  if (base.adaptive_sync) base.adaptive_pin_workers = 1;
   return base;
 }
 
@@ -98,9 +96,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   if (options.sync_batch_lines == 0) {
     return invalid_argument("sync_batch_lines must be >= 1");
   }
-  if (options.diff_workers == 0) {
-    return invalid_argument("diff_workers must be >= 1");
-  }
 
   auto rt = std::unique_ptr<PaxRuntime>(new PaxRuntime());
   rt->owned_pm_ = std::move(owned_pm);
@@ -122,11 +117,8 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   if (!report.ok()) return report.status();
   rt->recovery_report_ = report.value();
 
-  device::DeviceConfig dev_cfg = options.device;
-  if (options.log_ring_slots > 0) {
-    dev_cfg.log_ring_slots = options.log_ring_slots;
-  }
-  rt->device_ = std::make_unique<device::PaxDevice>(&*rt->pool_, dev_cfg);
+  rt->device_ =
+      std::make_unique<device::PaxDevice>(&*rt->pool_, options.device);
 
   // Map the vPM region: an explicit hint wins (replication failover),
   // otherwise reuse the base any earlier mapping of this device had.
@@ -159,23 +151,7 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   register_heap(rt->region_->base(), rt->heap_.get());
 
   rt->sync_batch_lines_ = options.sync_batch_lines;
-  rt->diff_workers_ = options.diff_workers;
-  rt->diff_fanout_min_pages_ = options.diff_fanout_min_pages;
   rt->track_lines_ = options.track_lines;
-  unsigned max_parallelism = rt->diff_workers_;
-  if (options.adaptive_sync) {
-    SyncTunerConfig tc;
-    tc.pinned_batch_lines = options.adaptive_pin_batch_lines;
-    tc.pinned_workers = options.adaptive_pin_workers;
-    tc.ewma_alpha = options.adaptive_ewma_alpha;
-    tc.hysteresis = options.adaptive_hysteresis;
-    rt->tuner_.emplace(tc);
-    // The pool must be able to serve whatever the tuner may ask for.
-    max_parallelism = std::max(max_parallelism, tc.max_workers);
-  }
-  if (max_parallelism > 1) {
-    rt->diff_pool_ = std::make_unique<common::ThreadPool>(max_parallelism - 1);
-  }
 
   rt->pipeline_depth_ = options.pipeline_depth;
   if (rt->pipeline_depth_ > 0) {
@@ -236,40 +212,8 @@ PaxRuntime::~PaxRuntime() {
 }
 
 Status PaxRuntime::sync_pages(const std::vector<PageIndex>& pages) {
-  std::size_t batch = sync_batch_lines_;
-  unsigned workers = diff_workers_;
-  if (tuner_.has_value()) {
-    SyncObservation obs;
-    obs.dirty_pages = pages.size();
-    // Windowed rates since the last decision. Density falls back to 0 (the
-    // tuner floors it at 1 line/page) until a window has synced something.
-    const std::uint64_t dp = sync_stats_.pages_scanned - tuner_window_pages_;
-    const std::uint64_t dl = sync_stats_.lines_synced - tuner_window_lines_;
-    if (dp != 0) {
-      obs.lines_per_page = static_cast<double>(dl) / static_cast<double>(dp);
-    }
-    std::uint64_t acq = 0, con = 0;
-    device_->stripe_lock_totals(&acq, &con);
-    const std::uint64_t da = acq - tuner_window_lock_acq_;
-    const std::uint64_t dc = con - tuner_window_lock_con_;
-    if (da != 0) {
-      obs.stripe_contention =
-          static_cast<double>(dc) / static_cast<double>(da);
-    }
-    tuner_window_pages_ = sync_stats_.pages_scanned;
-    tuner_window_lines_ = sync_stats_.lines_synced;
-    tuner_window_lock_acq_ = acq;
-    tuner_window_lock_con_ = con;
-
-    const SyncDecision d = tuner_->decide(obs);
-    batch = d.batch_lines;
-    workers = d.workers;
-    ++sync_stats_.tuner_decisions;
-  }
-  sync_stats_.last_batch_lines = batch;
-  sync_stats_.last_diff_workers = workers;
-  if (batch <= 1) return sync_pages_legacy(pages);
-  return sync_pages_batched(pages, batch, workers);
+  if (sync_batch_lines_ <= 1) return sync_pages_legacy(pages);
+  return sync_pages_batched(pages);
 }
 
 Status PaxRuntime::sync_pages_legacy(const std::vector<PageIndex>& pages) {
@@ -285,8 +229,8 @@ Status PaxRuntime::sync_pages_legacy(const std::vector<PageIndex>& pages) {
       const LineIndex pool_line = region_line_to_pool_line(page, l);
       const LineData cur = capture_line(page_bytes + l * kCacheLineSize);
       // Legacy never skips, but it still refreshes the digests so the
-      // batched path can trust them if the knobs change mid-run: after this
-      // iteration the device view equals `cur` whether or not we push.
+      // pipelined snapshot path can trust them: after this iteration the
+      // device view equals `cur` whether or not we push.
       if (track_lines_) {
         region_->set_line_digest(page, l, line_crc(cur));
         if (auto* chk = pm_->checker()) {
@@ -310,199 +254,140 @@ Status PaxRuntime::sync_pages_legacy(const std::vector<PageIndex>& pages) {
   return Status::ok();
 }
 
-Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
-                                      std::size_t batch_lines,
-                                      unsigned workers) {
+Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages) {
   if (pages.empty()) return Status::ok();
-
-  // Static partition: shard s diffs pages [len*s/shards, len*(s+1)/shards).
-  // Each shard owns its stats delta and LineUpdate buffer; the device's
-  // stripe locking makes concurrent peek_lines/sync_lines safe, and the
-  // per-page digests are safe because each page has exactly one shard.
-  const std::size_t shards =
-      (diff_pool_ == nullptr || workers <= 1 ||
-       pages.size() < diff_fanout_min_pages_)
-          ? 1
-          : std::min<std::size_t>(workers, pages.size());
 
   struct PendingDigest {
     PageIndex page;
     std::size_t line;
     std::uint32_t crc;
   };
-  struct Shard {
-    RuntimeStats delta;
-    SyncStats sdelta;
-    Status status = Status::ok();
+  std::vector<device::LineUpdate> batch;
+  batch.reserve(sync_batch_lines_);
+  std::vector<PendingDigest> pending_digests;
+  std::vector<PageIndex> pending_valid;
+  std::array<LineIndex, kLinesPerPage> lines;
+  std::array<LineData, kLinesPerPage> shadow;
+  std::array<LineData, kLinesPerPage> cur;
+  std::array<std::uint32_t, kLinesPerPage> crc;
+
+  // Digest writes trail the device: a pushed line's digest (and a rebuilt
+  // page's valid flag) is applied only once the sync_lines call carrying
+  // the line has succeeded, so a failed flush leaves the digests describing
+  // what the device actually holds and a retry re-examines the affected
+  // lines instead of skipping them.
+  auto flush = [&]() -> Status {
+    if (!batch.empty()) {
+      ++stats_.device_calls;
+      ++stats_.sync_batches;
+      Status st = device_->sync_lines(batch);
+      batch.clear();
+      if (!st.is_ok()) {
+        if (auto* chk = pm_->checker()) chk->on_sync_batch_fail();
+        return st;
+      }
+      if (auto* chk = pm_->checker()) chk->on_sync_batch_ok();
+    }
+    for (const PendingDigest& pd : pending_digests) {
+      region_->set_line_digest(pd.page, pd.line, pd.crc);
+      if (auto* chk = pm_->checker()) {
+        chk->on_digest_apply(region_line_to_pool_line(pd.page, pd.line).value);
+      }
+    }
+    pending_digests.clear();
+    for (PageIndex done : pending_valid) {
+      region_->mark_line_digests_valid(done);
+    }
+    pending_valid.clear();
+    return Status::ok();
   };
-  std::vector<Shard> results(shards);
 
-  auto diff_shard = [&](std::size_t s) {
-    Shard& out = results[s];
-    std::vector<device::LineUpdate> batch;
-    batch.reserve(batch_lines);
-    std::vector<PendingDigest> pending_digests;
-    std::vector<PageIndex> pending_valid;
-    std::array<LineIndex, kLinesPerPage> lines;
-    std::array<LineData, kLinesPerPage> shadow;
-    std::array<LineData, kLinesPerPage> cur;
-    std::array<std::uint32_t, kLinesPerPage> crc;
+  auto push = [&](PageIndex page, std::size_t l) -> Status {
+    ++stats_.lines_dirty_found;
+    ++sync_stats_.lines_synced;
+    if (auto* chk = pm_->checker()) chk->on_sync_push(lines[l].value);
+    batch.push_back({lines[l], cur[l]});
+    if (track_lines_) pending_digests.push_back({page, l, crc[l]});
+    if (batch.size() >= sync_batch_lines_) return flush();
+    return Status::ok();
+  };
 
-    // Digest writes trail the device: a pushed line's digest (and a rebuilt
-    // page's valid flag) is applied only once the sync_lines call carrying
-    // the line has succeeded, so a failed flush leaves the digests
-    // describing what the device actually holds and a retry re-examines the
-    // affected lines instead of skipping them.
-    auto flush = [&]() -> Status {
-      if (!batch.empty()) {
-        ++out.delta.device_calls;
-        ++out.delta.sync_batches;
-        Status st = device_->sync_lines(batch);
-        batch.clear();
-        if (!st.is_ok()) {
-          if (auto* chk = pm_->checker()) chk->on_sync_batch_fail();
-          return st;
-        }
-        if (auto* chk = pm_->checker()) chk->on_sync_batch_ok();
-      }
-      for (const PendingDigest& pd : pending_digests) {
-        region_->set_line_digest(pd.page, pd.line, pd.crc);
-        if (auto* chk = pm_->checker()) {
-          chk->on_digest_apply(
-              region_line_to_pool_line(pd.page, pd.line).value);
-        }
-      }
-      pending_digests.clear();
-      for (PageIndex done : pending_valid) {
-        region_->mark_line_digests_valid(done);
-      }
-      pending_valid.clear();
-      return Status::ok();
-    };
+  for (PageIndex page : pages) {
+    ++stats_.pages_diffed;
+    ++sync_stats_.pages_scanned;
+    const std::byte* page_bytes = region_->page_span(page).data();
+    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+      lines[l] = region_line_to_pool_line(page, l);
+      cur[l] = capture_line(page_bytes + l * kCacheLineSize);
+      if (track_lines_) crc[l] = line_crc(cur[l]);
+    }
 
-    auto push = [&](PageIndex page, std::size_t l) -> Status {
-      ++out.delta.lines_dirty_found;
-      ++out.sdelta.lines_synced;
-      if (auto* chk = pm_->checker()) chk->on_sync_push(lines[l].value);
-      batch.push_back({lines[l], cur[l]});
-      if (track_lines_) pending_digests.push_back({page, l, crc[l]});
-      if (batch.size() >= batch_lines) return flush();
-      return Status::ok();
-    };
-
-    const std::size_t lo = pages.size() * s / shards;
-    const std::size_t hi = pages.size() * (s + 1) / shards;
-    for (std::size_t p = lo; p < hi; ++p) {
-      const PageIndex page = pages[p];
-      ++out.delta.pages_diffed;
-      ++out.sdelta.pages_scanned;
-      const std::byte* page_bytes = region_->page_span(page).data();
+    if (region_->line_digests_valid(page)) {
+      // Tracked page: only the candidate lines — fault-observed stores plus
+      // digest mismatches — touch the device shadow. A candidate bit forces
+      // the memcmp even when its digest matches (the collision fallback);
+      // the remaining lines are skipped outright.
+      std::uint64_t want = region_->candidate_lines(page);
       for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        lines[l] = region_line_to_pool_line(page, l);
-        cur[l] = capture_line(page_bytes + l * kCacheLineSize);
-        if (track_lines_) crc[l] = line_crc(cur[l]);
+        if (crc[l] != region_->line_digest(page, l)) {
+          want |= std::uint64_t{1} << l;
+        }
       }
-
-      if (region_->line_digests_valid(page)) {
-        // Tracked page: only the candidate lines — fault-observed stores
-        // plus digest mismatches — touch the device shadow. A candidate bit
-        // forces the memcmp even when its digest matches (the collision
-        // fallback); the remaining lines are skipped outright.
-        std::uint64_t want = region_->candidate_lines(page);
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          if (crc[l] != region_->line_digest(page, l)) {
-            want |= std::uint64_t{1} << l;
-          }
+      std::array<LineIndex, kLinesPerPage> cand;
+      std::array<std::size_t, kLinesPerPage> slot;
+      std::size_t n = 0;
+      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+        if ((want >> l) & 1) {
+          cand[n] = lines[l];
+          slot[n] = l;
+          ++n;
         }
-        std::array<LineIndex, kLinesPerPage> cand;
-        std::array<std::size_t, kLinesPerPage> slot;
-        std::size_t n = 0;
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          if ((want >> l) & 1) {
-            cand[n] = lines[l];
-            slot[n] = l;
-            ++n;
-          }
+      }
+      sync_stats_.lines_skipped += kLinesPerPage - n;
+      if (n == 0) continue;
+      ++stats_.device_calls;
+      device_->peek_lines(std::span(cand.data(), n),
+                          std::span(shadow.data(), n));
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t l = slot[i];
+        ++stats_.lines_diff_checked;
+        ++sync_stats_.lines_diffed;
+        if (cur[l] == shadow[i]) {
+          // Candidate but unchanged (rewrite of the same value, or a
+          // collision suspect that compared clean): the device already
+          // holds cur, so the digest can advance immediately.
+          region_->set_line_digest(page, l, crc[l]);
+          if (auto* chk = pm_->checker()) chk->on_digest_apply(lines[l].value);
+          continue;
         }
-        out.sdelta.lines_skipped += kLinesPerPage - n;
-        if (n == 0) continue;
-        ++out.delta.device_calls;
-        device_->peek_lines(std::span(cand.data(), n),
-                            std::span(shadow.data(), n));
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t l = slot[i];
-          ++out.delta.lines_diff_checked;
-          ++out.sdelta.lines_diffed;
-          if (cur[l] == shadow[i]) {
-            // Candidate but unchanged (rewrite of the same value, or a
-            // collision suspect that compared clean): the device already
-            // holds cur, so the digest can advance immediately.
+        PAX_RETURN_IF_ERROR(push(page, l));
+      }
+    } else {
+      // Untracked (or first-diff) page: fetch the whole page shadow; with
+      // tracking on, this full compare seeds every digest (the rebuild).
+      ++stats_.device_calls;
+      device_->peek_lines(lines, shadow);
+      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+        ++stats_.lines_diff_checked;
+        ++sync_stats_.lines_diffed;
+        if (cur[l] == shadow[l]) {
+          if (track_lines_) {
             region_->set_line_digest(page, l, crc[l]);
             if (auto* chk = pm_->checker()) {
               chk->on_digest_apply(lines[l].value);
             }
-            continue;
           }
-          Status st = push(page, l);
-          if (!st.is_ok()) {
-            out.status = st;
-            return;
-          }
+          continue;
         }
-      } else {
-        // Untracked (or first-diff) page: fetch the whole page shadow; with
-        // tracking on, this full compare seeds every digest (the rebuild).
-        ++out.delta.device_calls;
-        device_->peek_lines(lines, shadow);
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          ++out.delta.lines_diff_checked;
-          ++out.sdelta.lines_diffed;
-          if (cur[l] == shadow[l]) {
-            if (track_lines_) {
-              region_->set_line_digest(page, l, crc[l]);
-              if (auto* chk = pm_->checker()) {
-                chk->on_digest_apply(lines[l].value);
-              }
-            }
-            continue;
-          }
-          Status st = push(page, l);
-          if (!st.is_ok()) {
-            out.status = st;
-            return;
-          }
-        }
-        if (track_lines_) {
-          pending_valid.push_back(page);
-          ++out.sdelta.digest_rebuilds;
-        }
+        PAX_RETURN_IF_ERROR(push(page, l));
+      }
+      if (track_lines_) {
+        pending_valid.push_back(page);
+        ++sync_stats_.digest_rebuilds;
       }
     }
-    out.status = flush();
-  };
-
-  if (shards == 1) {
-    diff_shard(0);
-  } else {
-    diff_pool_->parallel_for(shards, diff_shard);
   }
-
-  // Merge shard deltas (caller holds sync_mu_; workers have joined).
-  Status first = Status::ok();
-  for (const Shard& sh : results) {
-    stats_.pages_diffed += sh.delta.pages_diffed;
-    stats_.lines_diff_checked += sh.delta.lines_diff_checked;
-    stats_.lines_dirty_found += sh.delta.lines_dirty_found;
-    stats_.device_calls += sh.delta.device_calls;
-    stats_.sync_batches += sh.delta.sync_batches;
-    sync_stats_.pages_scanned += sh.sdelta.pages_scanned;
-    sync_stats_.lines_diffed += sh.sdelta.lines_diffed;
-    sync_stats_.lines_skipped += sh.sdelta.lines_skipped;
-    sync_stats_.lines_synced += sh.sdelta.lines_synced;
-    sync_stats_.digest_rebuilds += sh.sdelta.digest_rebuilds;
-    if (first.is_ok() && !sh.status.is_ok()) first = sh.status;
-  }
-  return first;
+  return flush();
 }
 
 void PaxRuntime::sync_step() {

@@ -36,13 +36,11 @@
 
 #include "pax/check/checker.hpp"
 #include "pax/common/status.hpp"
-#include "pax/common/thread_pool.hpp"
 #include "pax/common/types.hpp"
 #include "pax/device/pax_device.hpp"
 #include "pax/device/recovery.hpp"
 #include "pax/libpax/heap.hpp"
 #include "pax/libpax/stl_allocator.hpp"
-#include "pax/libpax/sync_tuner.hpp"
 #include "pax/libpax/vpm_region.hpp"
 #include "pax/pmem/pool.hpp"
 
@@ -62,18 +60,12 @@ struct RuntimeOptions {
   /// pointers at the address the origin used (replication failover).
   std::uintptr_t vpm_base_hint = 0;
   /// Max lines carried per batched device sync call. Dirty lines accumulate
-  /// into per-worker buffers flushed through PaxDevice::sync_lines, which
-  /// fuses write_intent + writeback_line and appends a stripe group's undo
-  /// records under one log-mutex hold. 1 = the legacy per-line path
-  /// (peek_line / write_intent / writeback_line), bit-for-bit identical to
-  /// pre-batching behavior.
+  /// into one buffer flushed through PaxDevice::sync_lines, which fuses
+  /// write_intent + writeback_line and appends a stripe group's undo records
+  /// under one log-mutex hold. 1 = the legacy per-line path (peek_line /
+  /// write_intent / writeback_line), bit-for-bit identical to pre-batching
+  /// behavior and kept as the reference the batched path is tested against.
   std::size_t sync_batch_lines = 256;
-  /// Parallelism of the dirty-page diff (caller participates; diff_workers
-  /// total threads touch pages). 1 = diff on the calling thread only.
-  unsigned diff_workers = 4;
-  /// Don't fan out the diff below this many dirty pages — thread-pool
-  /// handoff costs more than diffing a handful of pages inline.
-  std::size_t diff_fanout_min_pages = 16;
   /// Line-granular dirty tracking (vpm_region.hpp): per-page candidate
   /// bitmaps plus per-line digests of the last-synced contents let the diff
   /// skip lines whose digest still matches without peeking the device
@@ -81,20 +73,6 @@ struct RuntimeOptions {
   /// false keeps the diff (and every stat it reports) bit-for-bit on the
   /// page-granular path.
   bool track_lines = true;
-  /// Let a SyncTuner pick sync_batch_lines and the effective diff_workers
-  /// per epoch from the observed dirty-set size, dirty-line density, and
-  /// device stripe contention. The static knobs above still size the worker
-  /// pool; the pins below freeze one knob while the other adapts.
-  bool adaptive_sync = false;
-  std::size_t adaptive_pin_batch_lines = 0;  // 0 = adapt batch size
-  unsigned adaptive_pin_workers = 0;         // 0 = adapt worker count
-  /// EWMA smoothing factor for the tuner's density/contention signals
-  /// (SyncTunerConfig::ewma_alpha): 1.0 = raw samples, lower values damp
-  /// epoch-to-epoch oscillation on alternating dense/sparse workloads.
-  double adaptive_ewma_alpha = 1.0;
-  /// Relative hysteresis band for tuner decisions
-  /// (SyncTunerConfig::hysteresis): 0 = every derivation is adopted.
-  double adaptive_hysteresis = 0.0;
   /// Pipelined epochs: persist_async() swaps the dirty set into an
   /// O(dirty-pages) snapshot, re-arms page protection, and returns
   /// immediately; a background drain worker runs diff → sync_lines → seal →
@@ -103,19 +81,14 @@ struct RuntimeOptions {
   /// flight); persist_async back-pressures only when it is full. 0 keeps
   /// the non-pipelined behavior above, bit for bit.
   std::size_t pipeline_depth = 0;
-  /// Lock-free undo-append ring (device.log_ring_slots passthrough): > 0
-  /// switches each log bank's hot-path appends from the log mutex to a
-  /// bounded MPMC ring of this many pre-framed slots (rounded up to a power
-  /// of two). 0 keeps the mutex append path.
-  std::size_t log_ring_slots = 0;
 
   /// `base` with every source of scheduling nondeterminism pinned: no
-  /// flusher thread, single-threaded diff and device persist workers, and
-  /// the adaptive tuner (if enabled) locked to one worker. A workload run
-  /// under these options emits the identical device event sequence on every
-  /// execution — the contract crash-point exploration (check/crashpoint.hpp)
-  /// depends on. Byte-identical vPM snapshots additionally require a fixed
-  /// vpm_base_hint, which the caller must choose.
+  /// flusher thread and a single device persist worker (the diff always
+  /// runs on the calling thread). A workload run under these options emits
+  /// the identical device event sequence on every execution — the contract
+  /// crash-point exploration (check/crashpoint.hpp) depends on. Byte-
+  /// identical vPM snapshots additionally require a fixed vpm_base_hint,
+  /// which the caller must choose.
   static RuntimeOptions deterministic(RuntimeOptions base);
 };
 
@@ -147,11 +120,6 @@ struct SyncStats {
   /// Pages whose per-line digests were (re)seeded by a full-page compare —
   /// every page's first diff after map/attach goes through this.
   std::uint64_t digest_rebuilds = 0;
-  /// SyncTuner consultations (0 unless adaptive_sync).
-  std::uint64_t tuner_decisions = 0;
-  /// Knob values used by the most recent sync (static or tuner-chosen).
-  std::size_t last_batch_lines = 0;
-  unsigned last_diff_workers = 0;
 };
 
 /// Epoch-pipeline observability (all zero unless pipeline_depth > 0).
@@ -285,10 +253,9 @@ class PaxRuntime {
       const RuntimeOptions& options);
 
   /// Diffs the given pages line-by-line against the device view and pushes
-  /// changed lines into the device. Consults the tuner (if adaptive_sync)
-  /// for this epoch's knobs, then dispatches to the legacy per-line path
-  /// (batch <= 1) or the parallel batched path. Returns first error.
-  /// Caller must hold sync_mu_.
+  /// changed lines into the device, on the calling thread: the legacy
+  /// per-line path when sync_batch_lines == 1, the batched path otherwise.
+  /// Returns the first error. Caller must hold sync_mu_.
   Status sync_pages(const std::vector<PageIndex>& pages);
 
   /// Pre-batching behavior, preserved verbatim: per line, peek_line →
@@ -296,14 +263,12 @@ class PaxRuntime {
   /// line).
   Status sync_pages_legacy(const std::vector<PageIndex>& pages);
 
-  /// Partitions `pages` across the diff worker pool (`workers` threads
-  /// including the caller); each shard diffs its pages with the TSan-safe
-  /// line capture and flushes dirty lines through PaxDevice::sync_lines in
-  /// batch_lines-sized batches. With track_lines, a page whose digests are
-  /// valid peeks only its candidate lines (bitmap | digest mismatch);
-  /// otherwise the full page shadow is fetched and the digests (re)seeded.
-  Status sync_pages_batched(const std::vector<PageIndex>& pages,
-                            std::size_t batch_lines, unsigned workers);
+  /// Diffs `pages` with the TSan-safe line capture and flushes dirty lines
+  /// through PaxDevice::sync_lines in sync_batch_lines-sized batches. With
+  /// track_lines, a page whose digests are valid peeks only its candidate
+  /// lines (bitmap | digest mismatch); otherwise the full page shadow is
+  /// fetched and the digests (re)seeded.
+  Status sync_pages_batched(const std::vector<PageIndex>& pages);
 
   // --- Epoch pipeline (pipeline_depth > 0) --------------------------------
   //
@@ -367,21 +332,7 @@ class PaxRuntime {
 
   // Sync-path tuning, frozen at build() (validated there).
   std::size_t sync_batch_lines_ = 1;
-  unsigned diff_workers_ = 1;
-  std::size_t diff_fanout_min_pages_ = 16;
   bool track_lines_ = true;
-  std::unique_ptr<common::ThreadPool> diff_pool_;  // max parallelism - 1
-
-  // Adaptive sync (sync_tuner.hpp). The window baselines turn cumulative
-  // counters into per-window rates: density from this runtime's own
-  // SyncStats, contention from the device-wide stripe-lock totals (which
-  // other frontends of a shared device also move — intentionally, since
-  // that contention is exactly what the diff workers would fight).
-  std::optional<SyncTuner> tuner_;
-  std::uint64_t tuner_window_pages_ = 0;
-  std::uint64_t tuner_window_lines_ = 0;
-  std::uint64_t tuner_window_lock_acq_ = 0;
-  std::uint64_t tuner_window_lock_con_ = 0;
 
   // Epoch pipeline. All fields below pipe_mu_ are guarded by it; the drain
   // worker never takes sync_mu_ (see the lock-order note above).

@@ -189,10 +189,17 @@ class ShardedMap {
     std::size_t shard_count;
     ShardVec shards;
 
+    // Each shard map is constructed in place in vPM. Copying a stack
+    // temporary instead would carry its uninitialised padding bytes (after
+    // the rehash policy's float) into persistent memory, so the persisted
+    // bytes would differ from run to run.
     Root(std::size_t n, PaxHeap* heap)
-        : shard_count(n),
-          shards(n, ShardMap(typename ShardMap::allocator_type(heap)),
-                 PaxStlAllocator<ShardMap>(heap)) {}
+        : shard_count(n), shards(PaxStlAllocator<ShardMap>(heap)) {
+      shards.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        shards.emplace_back(typename ShardMap::allocator_type(heap));
+      }
+    }
   };
 
   struct Shard {

@@ -8,7 +8,7 @@
 // hybrid the paper proposes in §5.1: the fault is the device's RdOwn-
 // equivalent first-touch notification, after which libpax tracks the page's
 // modifications at cache-line granularity by diffing against the device's
-// copy (see PaxRuntime::sync_dirty_lines).
+// copy (see PaxRuntime::sync_pages).
 //
 // Faults on non-vPM addresses are forwarded to the previously installed
 // SIGSEGV disposition, so real bugs still crash loudly.

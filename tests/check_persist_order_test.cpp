@@ -153,7 +153,7 @@ TEST(PaxCheckPersistOrder, FailedBatchClearsPushedLines) {
   EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
 }
 
-// The full libpax stack — pool format, recovery, tracked+adaptive sync,
+// The full libpax stack — pool format, recovery, line-tracked sync,
 // sync persist, non-blocking persist, crash, re-attach — must be silent
 // under an attached checker.
 TEST(PaxCheckPersistOrder, FullRuntimeCycleIsClean) {

@@ -22,7 +22,7 @@ RuntimeOptions options(std::size_t depth = 2, std::size_t ring = 0) {
   o.device.log_flush_batch_bytes = 0;
   o.track_lines = true;
   o.pipeline_depth = depth;
-  o.log_ring_slots = ring;
+  o.device.log_ring_slots = ring;
   return o;
 }
 

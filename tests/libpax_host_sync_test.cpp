@@ -1,4 +1,4 @@
-// The batched, parallel host sync path: batched configs must persist the
+// The batched host sync path: batched configs must persist the
 // exact state the legacy per-line path persists, with far fewer device
 // calls; plus the vPM region's coalesced re-protection and dirty-counter
 // early-out, and the prompt flusher shutdown.
@@ -20,7 +20,6 @@ RuntimeOptions legacy_opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
   o.sync_batch_lines = 1;  // per-line peek/intent/writeback
-  o.diff_workers = 1;
   return o;
 }
 
@@ -28,8 +27,6 @@ RuntimeOptions batched_opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
   o.sync_batch_lines = 64;
-  o.diff_workers = 3;
-  o.diff_fanout_min_pages = 1;  // always fan out, even tiny dirty sets
   return o;
 }
 
@@ -86,8 +83,7 @@ TEST(HostSyncEquivalenceTest, DeviceCallAccounting) {
   // line (peek + intent + writeback); batching pays one peek per page and
   // one sync per batch.
   auto legacy = PaxRuntime::create_in_memory(kPool, legacy_opts()).value();
-  RuntimeOptions bo = batched_opts();
-  bo.diff_workers = 1;  // deterministic batch count
+  const RuntimeOptions bo = batched_opts();
   auto batched = PaxRuntime::create_in_memory(kPool, bo).value();
 
   for (auto* rt : {legacy.get(), batched.get()}) {

@@ -17,7 +17,6 @@ RuntimeOptions tracked_opts() {
   RuntimeOptions o;
   o.log_size = 2 << 20;
   o.sync_batch_lines = 64;
-  o.diff_workers = 1;
   o.track_lines = true;
   return o;
 }

@@ -100,6 +100,14 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
       if (r + 1 == kRounds) {
         auto e = rt->persist();
         EXPECT_TRUE(e.ok()) << e.status().to_string();
+        // Every scanned page accounts for all of its lines exactly once,
+        // and both stats views agree on how many lines were pushed. The
+        // flusher only finds clean pages until the mutators resume.
+        const SyncStats ss = rt->sync_stats();
+        EXPECT_EQ(ss.lines_diffed + ss.lines_skipped,
+                  kLinesPerPage * ss.pages_scanned)
+            << mode;
+        EXPECT_EQ(ss.lines_synced, rt->stats().lines_dirty_found) << mode;
       } else {
         auto e = rt->persist_async();
         EXPECT_TRUE(e.ok()) << e.status().to_string();
@@ -132,15 +140,14 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
 }
 
 // The four sync-path configurations whose recoveries must be bit-identical:
-// the pre-batching per-line path, the batched path, the line-tracked +
-// adaptive path, and the pipelined-epoch path (snapshot drains racing the
-// resumed mutators, undo appends through the lock-free ring).
+// the pre-batching per-line path, the batched path, the line-tracked path,
+// and the pipelined-epoch path (snapshot drains racing the resumed
+// mutators, undo appends through the lock-free ring).
 RuntimeOptions legacy_config() {
   RuntimeOptions o;
   o.start_flusher_thread = true;
   o.flusher_interval = std::chrono::microseconds(50);
   o.sync_batch_lines = 1;
-  o.diff_workers = 1;
   o.track_lines = false;
   return o;
 }
@@ -148,22 +155,19 @@ RuntimeOptions legacy_config() {
 RuntimeOptions batched_config() {
   RuntimeOptions o = legacy_config();
   o.sync_batch_lines = 32;
-  o.diff_workers = 3;
-  o.diff_fanout_min_pages = 1;
   return o;
 }
 
 RuntimeOptions tracked_config() {
   RuntimeOptions o = batched_config();
   o.track_lines = true;
-  o.adaptive_sync = true;
   return o;
 }
 
 RuntimeOptions pipelined_config() {
   RuntimeOptions o = tracked_config();
   o.pipeline_depth = 2;
-  o.log_ring_slots = 128;
+  o.device.log_ring_slots = 128;
   return o;
 }
 

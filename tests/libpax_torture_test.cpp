@@ -59,14 +59,10 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
   opts.device.hbm.capacity_lines = 256;  // small buffer: eviction pressure
   opts.device.hbm.ways = 4;
   // The hundreds digit of the seed picks the sync-path flavor, so the same
-  // generational grinder covers every diff configuration: 3xx = line
-  // tracking with static knobs (the default), 4xx = tracking plus the
-  // adaptive tuner, 5xx = tracking off (the page-granular PR 2 path).
-  if (seed >= 500) {
-    opts.track_lines = false;
-  } else if (seed >= 400) {
-    opts.adaptive_sync = true;
-  }
+  // generational grinder covers every diff configuration: 3xx and 4xx =
+  // line tracking (the default), 5xx = tracking off (the page-granular
+  // path).
+  if (seed >= 500) opts.track_lines = false;
 
   std::map<std::uint64_t, std::uint64_t> committed_oracle;
   Epoch committed_epoch = 0;

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "pax/check/trace_file.hpp"
@@ -123,6 +124,19 @@ TEST(PaxctlTest, CheckRunsCleanWorkload) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("paxcheck: clean"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("event(s)"), std::string::npos) << r.output;
+}
+
+TEST(PaxctlTest, SynctestSkipsCleanLines) {
+  // 4 of 64 lines written per page: after the first epoch seeds the
+  // digests, the tracked diff must skip the other lines outright.
+  auto r = run("synctest 16 4");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string key = "lines skipped:";
+  const std::size_t at = r.output.find(key);
+  ASSERT_NE(at, std::string::npos) << r.output;
+  EXPECT_GT(std::strtoull(r.output.c_str() + at + key.size(), nullptr, 10),
+            0u)
+      << r.output;
 }
 
 TEST(PaxctlTest, ExploreCleanWorkloadSampled) {

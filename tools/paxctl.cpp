@@ -7,9 +7,9 @@
 //   paxctl recover <pool>     run recovery in place (what map_pool does)
 //   paxctl hexdump <pool> <offset> [len]   dump pool bytes
 //   paxctl trace <trace-file> summarize a recorded coherence trace
-//   paxctl synctest [pages] [lines-per-page]   exercise the line-tracked,
-//                             adaptive host sync path on a scratch in-memory
-//                             pool and report SyncStats + stripe telemetry
+//   paxctl synctest [pages] [lines-per-page]   exercise the line-tracked
+//                             host sync path on a scratch in-memory pool and
+//                             report SyncStats + stripe telemetry
 //   paxctl check [pages] [epochs]   run a persist/crash/recover workload on
 //                             a scratch in-memory pool under PaxCheck (the
 //                             persist-order + lock-discipline checker) and
@@ -311,7 +311,6 @@ int cmd_synctest(std::size_t pages, std::size_t lines_per_page) {
   }
   libpax::RuntimeOptions opts;
   opts.track_lines = true;
-  opts.adaptive_sync = true;
   const std::size_t pool_size = 16 << 20;
   auto rt = libpax::PaxRuntime::create_in_memory(pool_size, opts);
   if (!rt.ok()) {
@@ -348,8 +347,6 @@ int cmd_synctest(std::size_t pages, std::size_t lines_per_page) {
   std::printf("  lines skipped:   %" PRIu64 "\n", ss.lines_skipped);
   std::printf("  lines synced:    %" PRIu64 "\n", ss.lines_synced);
   std::printf("  digest rebuilds: %" PRIu64 "\n", ss.digest_rebuilds);
-  std::printf("  tuner decisions: %" PRIu64 " (last: batch %zu, workers %u)\n",
-              ss.tuner_decisions, ss.last_batch_lines, ss.last_diff_workers);
 
   std::uint64_t acq = 0, con = 0;
   r.device().stripe_lock_totals(&acq, &con);
@@ -370,7 +367,7 @@ int cmd_synctest(std::size_t pages, std::size_t lines_per_page) {
 }
 
 int cmd_check(std::size_t pages, int epochs) {
-  // A representative workload under PaxCheck: tracked + adaptive sync,
+  // A representative workload under PaxCheck: line-tracked batched sync,
   // blocking and §6 async persists, background sync steps, a crash, and
   // recovery. A correct build reports clean; any persist-order or
   // lock-discipline violation prints with its event backtrace and fails.
@@ -381,7 +378,6 @@ int cmd_check(std::size_t pages, int epochs) {
   libpax::RuntimeOptions opts;
   opts.log_size = 4 << 20;
   opts.track_lines = true;
-  opts.adaptive_sync = true;
   {
     auto rt = libpax::PaxRuntime::attach(pm.get(), opts);
     if (!rt.ok()) {
@@ -404,7 +400,7 @@ int cmd_check(std::size_t pages, int epochs) {
                      committed.status().to_string().c_str());
         return 1;
       }
-      r.sync_step();  // completes the async seal, drives the tuner
+      r.sync_step();  // completes the async seal
     }
   }  // teardown without a final persist: crash semantics
   pm->crash(pmem::CrashConfig::torn(0.5, 0xc43c));
@@ -454,7 +450,7 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
     opts.vpm_base_hint = 0x7d00'0000'0000ULL;  // byte-identical snapshots
     if (pipelined) {
       opts.pipeline_depth = 1;
-      opts.log_ring_slots = 64;
+      opts.device.log_ring_slots = 64;
     }
     opts = libpax::RuntimeOptions::deterministic(opts);
     auto rt = libpax::PaxRuntime::attach(&dev, opts);
