@@ -7,12 +7,12 @@ Validates two inputs:
     ablation. Enforces, per shard count >= 2, that cross-shard epoch group
     commit issues FEWER log flushes per acknowledged write op than
     per-shard independent commit (comparing only baseline rows:
-    loop_threads == 1 on the epoll backend), that group mode actually
-    committed in waves, that every row's percentiles are sane
-    (0 < p50 <= p99 <= p999) with nonzero throughput, that N-loop
-    throughput stays within tolerance of 1-loop throughput per backend
-    (multi-loop plumbing must not cost real throughput; on single-core CI
-    runners extra loops cannot win, so the gate is a floor, not a >=),
+    loop_threads == 1), that group mode actually committed in waves, that
+    every row's percentiles are sane (0 < p50 <= p99 <= p999) with nonzero
+    throughput, that N-loop throughput stays within tolerance of 1-loop
+    throughput (multi-loop plumbing must not cost real throughput; on
+    single-core CI runners extra loops cannot win, so the gate is a floor,
+    not a >=),
     and that the DES calibration's predicted-vs-measured error on the
     unseen closed-loop configuration is within band.
   * Optionally, loadgen reports (paxkv-loadgen --json) passed as extra
@@ -27,7 +27,7 @@ import json
 import sys
 
 # N-loop throughput must be at least this fraction of 1-loop throughput
-# (same backend, same config). On a multi-core host N loops should win
+# (same config). On a multi-core host N loops should win
 # outright; on the single-core CI runner the best achievable is parity
 # minus scheduling noise, hence a floor rather than a strict >=.
 LOOP_SCALING_FLOOR = 0.70
@@ -52,15 +52,13 @@ def check_bench(path, failures):
         bench = json.load(f)
 
     rows = bench["rows"]
-    # Mode comparison uses only baseline rows (1 epoll loop): loop-scaling
-    # rows repeat the group config at other loop counts/backends and must
-    # not shadow the ablation pair.
+    # Mode comparison uses only baseline rows (1 loop): loop-scaling rows
+    # repeat the group config at other loop counts and must not shadow the
+    # ablation pair.
     closed = [
         r
         for r in rows
-        if r["loop"] == "closed"
-        and r.get("loop_threads", 1) == 1
-        and r.get("backend", "epoll") == "epoll"
+        if r["loop"] == "closed" and r.get("loop_threads", 1) == 1
     ]
     by_shards = {}
     for r in closed:
@@ -89,7 +87,7 @@ def check_bench(path, failures):
     for r in rows:
         label = (
             f"{path} row {r['mode']}/{r['loop']}/{r['shards']}sh/"
-            f"{r.get('backend', 'epoll')}x{r.get('loop_threads', 1)}"
+            f"{r.get('loop_threads', 1)}loop"
         )
         if r["ops"] == 0 or r["throughput_ops_s"] <= 0:
             failures.append(f"{label}: no throughput")
@@ -103,32 +101,23 @@ def check_bench(path, failures):
 
 
 def check_loop_scaling(path, bench, failures):
-    """N-loop throughput >= LOOP_SCALING_FLOOR x 1-loop, per backend."""
-    best = {}  # (backend, loop_threads) -> max throughput
+    """N-loop throughput >= LOOP_SCALING_FLOOR x 1-loop."""
+    best = {}  # loop_threads -> max throughput
     for r in bench["rows"]:
         if r["loop"] != "closed" or r["mode"] != "group":
             continue
-        key = (r.get("backend", "epoll"), r.get("loop_threads", 1))
-        best[key] = max(best.get(key, 0.0), r["throughput_ops_s"])
-
-    backends = {b for b, _ in best}
-    if bench.get("io_uring_supported") and "io_uring" not in backends:
-        failures.append(
-            f"{path}: io_uring supported but no io_uring rows present"
-        )
+        n = r.get("loop_threads", 1)
+        best[n] = max(best.get(n, 0.0), r["throughput_ops_s"])
 
     scaled = 0
-    for backend in sorted(backends):
-        base = best.get((backend, 1))
-        multi = [
-            (n, tput) for (b, n), tput in best.items() if b == backend and n > 1
-        ]
-        if base is None or not multi:
-            continue
-        for n, tput in sorted(multi):
+    base = best.get(1)
+    if base is not None:
+        for n, tput in sorted(best.items()):
+            if n == 1:
+                continue
             if tput < LOOP_SCALING_FLOOR * base:
                 failures.append(
-                    f"{path}: {backend} {n}-loop throughput {tput:.0f} < "
+                    f"{path}: {n}-loop throughput {tput:.0f} < "
                     f"{LOOP_SCALING_FLOOR:.2f} x 1-loop {base:.0f}"
                 )
             scaled += 1

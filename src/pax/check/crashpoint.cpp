@@ -56,13 +56,17 @@ Status CrashOracle::check_recovered(pmem::PmemPool& pool,
     expected = &snapshots_[pre + 1];
   }
   if (expected == nullptr) {
-    return corruption(
-        "recovered epoch " + std::to_string(recovered) +
-        " is neither pre-epoch " + std::to_string(snapshots_[pre].epoch) +
-        " nor post-epoch" +
-        (pre + 1 < snapshots_.size()
-             ? " " + std::to_string(snapshots_[pre + 1].epoch)
-             : std::string(" (none exists)")));
+    // Appended: GCC 12 at -O3 raises a false -Wrestrict on
+    // `" " + std::to_string(n)`.
+    std::string post = " (none exists)";
+    if (pre + 1 < snapshots_.size()) {
+      post = ' ';
+      post += std::to_string(snapshots_[pre + 1].epoch);
+    }
+    return corruption("recovered epoch " + std::to_string(recovered) +
+                      " is neither pre-epoch " +
+                      std::to_string(snapshots_[pre].epoch) +
+                      " nor post-epoch" + post);
   }
 
   std::vector<std::byte> durable(expected->data.size());

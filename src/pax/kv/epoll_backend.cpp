@@ -1,15 +1,5 @@
-// Epoll EventBackend — readiness-based implementation of the completion
-// contract in event_backend.hpp.
-//
-// Level-triggered epoll with lazily-applied interest masks: EPOLLIN is
-// subscribed only while a recv is armed and EPOLLOUT only while a send
-// could not complete eagerly, so an idle (or read-paused) connection never
-// spins the loop. arm_send() first tries the send() syscall inline — on
-// anything but EAGAIN the completion is synthesized immediately and the
-// next wait() returns without blocking. Mask changes are batched and
-// applied with one epoll_ctl(MOD) per dirty connection at wait() entry,
-// so the common arm→complete→re-arm cycle costs zero extra syscalls when
-// the mask lands back where it started.
+#include "pax/kv/epoll_backend.hpp"
+
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,12 +7,8 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <deque>
-#include <unordered_map>
-#include <vector>
 
 #include "pax/common/log.hpp"
-#include "pax/kv/event_backend.hpp"
 
 namespace pax::kv {
 
@@ -31,222 +17,208 @@ namespace {
 constexpr std::uint64_t kListenerKey = 0;
 constexpr std::uint64_t kWakeKey = 1;
 
-class EpollBackend final : public EventBackend {
- public:
-  ~EpollBackend() override {
-    if (ep_ >= 0) ::close(ep_);
-  }
-
-  Status init(int listen_fd, int wake_fd) override {
-    listen_fd_ = listen_fd;
-    wake_fd_ = wake_fd;
-    ep_ = epoll_create1(EPOLL_CLOEXEC);
-    if (ep_ < 0) return io_error("epoll_create1 failed");
-    if (!ctl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenerKey)) {
-      return io_error("epoll_ctl(listener) failed");
-    }
-    if (!ctl(EPOLL_CTL_ADD, wake_fd_, EPOLLIN, kWakeKey)) {
-      return io_error("epoll_ctl(wake) failed");
-    }
-    return Status::ok();
-  }
-
-  Status add_conn(std::uint64_t conn_id, int fd) override {
-    ConnState st;
-    st.fd = fd;
-    // Registered with an empty mask: EPOLLERR/EPOLLHUP are always
-    // reported; EPOLLIN arrives once a recv is armed.
-    if (!ctl(EPOLL_CTL_ADD, fd, 0, conn_id)) {
-      return io_error("epoll_ctl(add conn) failed");
-    }
-    conns_.emplace(conn_id, st);
-    return Status::ok();
-  }
-
-  bool remove_conn(std::uint64_t conn_id, int fd) override {
-    epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns_.erase(conn_id);
-    return true;  // nothing in flight: always quiesced
-  }
-
-  void arm_recv(std::uint64_t conn_id, int fd, void* buf,
-                std::size_t len) override {
-    (void)fd;
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.rbuf = buf;
-    it->second.rlen = len;
-    it->second.want_recv = true;
-    mark_dirty(conn_id, it->second);
-  }
-
-  void arm_send(std::uint64_t conn_id, int fd, const void* buf,
-                std::size_t len) override {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    // Eager attempt: most sends complete without waiting for EPOLLOUT.
-    const ssize_t n = ::send(fd, buf, len, MSG_NOSIGNAL);
-    if (n >= 0) {
-      push({BackendEvent::Kind::kSend, conn_id, -1, n});
-      return;
-    }
-    if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      push({BackendEvent::Kind::kSend, conn_id, -1, -errno});
-      return;
-    }
-    it->second.sbuf = buf;
-    it->second.slen = len;
-    it->second.want_send = true;
-    mark_dirty(conn_id, it->second);
-  }
-
-  void resume_accepts() override {
-    if (!accepts_paused_) return;
-    if (ctl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenerKey)) {
-      accepts_paused_ = false;
-    }
-  }
-
-  std::size_t wait(std::span<BackendEvent> out, int timeout_ms) override {
-    apply_dirty();
-    if (!ready_.empty()) timeout_ms = 0;  // don't block on queued events
-    std::array<epoll_event, 64> events;
-    const int n = epoll_wait(ep_, events.data(),
-                             static_cast<int>(events.size()), timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      dispatch(events[static_cast<std::size_t>(i)]);
-    }
-    std::size_t delivered = 0;
-    while (delivered < out.size() && !ready_.empty()) {
-      out[delivered++] = ready_.front();
-      ready_.pop_front();
-    }
-    return delivered;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  struct ConnState {
-    int fd = -1;
-    bool want_recv = false;
-    bool want_send = false;
-    void* rbuf = nullptr;
-    std::size_t rlen = 0;
-    const void* sbuf = nullptr;
-    std::size_t slen = 0;
-    std::uint32_t armed_mask = 0;  // mask currently installed in epoll
-    bool dirty = false;
-  };
-
-  bool ctl(int op, int fd, std::uint32_t mask, std::uint64_t key) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = key;
-    return epoll_ctl(ep_, op, fd, &ev) == 0;
-  }
-
-  void push(BackendEvent ev) { ready_.push_back(ev); }
-
-  void mark_dirty(std::uint64_t conn_id, ConnState& st) {
-    if (!st.dirty) {
-      st.dirty = true;
-      dirty_.push_back(conn_id);
-    }
-  }
-
-  void apply_dirty() {
-    for (const std::uint64_t id : dirty_) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ConnState& st = it->second;
-      st.dirty = false;
-      std::uint32_t mask = 0;
-      if (st.want_recv) mask |= EPOLLIN | EPOLLRDHUP;
-      if (st.want_send) mask |= EPOLLOUT;
-      if (mask != st.armed_mask) {
-        if (ctl(EPOLL_CTL_MOD, st.fd, mask, id)) st.armed_mask = mask;
-      }
-    }
-    dirty_.clear();
-  }
-
-  void dispatch(const epoll_event& ev) {
-    const std::uint64_t key = ev.data.u64;
-    if (key == kListenerKey) {
-      drain_accepts();
-      return;
-    }
-    if (key == kWakeKey) {
-      std::uint64_t drained = 0;
-      while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-      }
-      push({BackendEvent::Kind::kWake, 0, -1, 0});
-      return;
-    }
-    auto it = conns_.find(key);
-    if (it == conns_.end()) return;
-    ConnState& st = it->second;
-    if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0) {
-      push({BackendEvent::Kind::kHangup, key, -1, 0});
-      return;
-    }
-    if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0 && st.want_recv) {
-      const ssize_t n = ::recv(st.fd, st.rbuf, st.rlen, 0);
-      if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-        st.want_recv = false;
-        mark_dirty(key, st);
-        push({BackendEvent::Kind::kRecv, key, -1, n >= 0 ? n : -errno});
-      }
-    }
-    if ((ev.events & EPOLLOUT) != 0 && st.want_send) {
-      const ssize_t n = ::send(st.fd, st.sbuf, st.slen, MSG_NOSIGNAL);
-      if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-        st.want_send = false;
-        mark_dirty(key, st);
-        push({BackendEvent::Kind::kSend, key, -1, n >= 0 ? n : -errno});
-      }
-    }
-  }
-
-  void drain_accepts() {
-    for (;;) {
-      const int fd = accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd >= 0) {
-        push({BackendEvent::Kind::kAccepted, 0, fd, 0});
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
-        continue;  // per-connection hiccup: keep draining the backlog
-      }
-      // Persistent failure (EMFILE/ENFILE/ENOMEM/...): a level-triggered
-      // listener would spin epoll_wait at 100% CPU. Deregister until the
-      // caller frees an fd and resume_accepts() re-arms.
-      PAX_LOG_ERROR("accept4: %s; pausing accepts", std::strerror(errno));
-      if (epoll_ctl(ep_, EPOLL_CTL_DEL, listen_fd_, nullptr) == 0) {
-        accepts_paused_ = true;
-      }
-      push({BackendEvent::Kind::kAcceptPaused, 0, -1, 0});
-      return;
-    }
-  }
-
-  int ep_ = -1;
-  int listen_fd_ = -1;
-  int wake_fd_ = -1;
-  bool accepts_paused_ = false;
-  std::unordered_map<std::uint64_t, ConnState> conns_;
-  std::deque<BackendEvent> ready_;
-  std::vector<std::uint64_t> dirty_;
-};
+// How long accepting stays paused after a persistent accept failure before
+// wait() re-arms the listener on its own.
+constexpr std::chrono::milliseconds kAcceptRetry{100};
 
 }  // namespace
 
-std::unique_ptr<EventBackend> make_epoll_backend() {
-  return std::make_unique<EpollBackend>();
+EpollBackend::~EpollBackend() {
+  if (ep_ >= 0) ::close(ep_);
+}
+
+Status EpollBackend::init(int listen_fd, int wake_fd) {
+  listen_fd_ = listen_fd;
+  wake_fd_ = wake_fd;
+  ep_ = epoll_create1(EPOLL_CLOEXEC);
+  if (ep_ < 0) return io_error("epoll_create1 failed");
+  if (!ctl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenerKey)) {
+    return io_error("epoll_ctl(listener) failed");
+  }
+  if (!ctl(EPOLL_CTL_ADD, wake_fd_, EPOLLIN, kWakeKey)) {
+    return io_error("epoll_ctl(wake) failed");
+  }
+  return Status::ok();
+}
+
+Status EpollBackend::add_conn(std::uint64_t conn_id, int fd) {
+  ConnState st;
+  st.fd = fd;
+  // Registered with an empty mask: EPOLLERR/EPOLLHUP are always reported;
+  // EPOLLIN arrives once a recv is armed.
+  if (!ctl(EPOLL_CTL_ADD, fd, 0, conn_id)) {
+    return io_error("epoll_ctl(add conn) failed");
+  }
+  conns_.emplace(conn_id, st);
+  return Status::ok();
+}
+
+void EpollBackend::remove_conn(std::uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  epoll_ctl(ep_, EPOLL_CTL_DEL, it->second.fd, nullptr);
+  ::close(it->second.fd);
+  conns_.erase(it);
+}
+
+void EpollBackend::arm_recv(std::uint64_t conn_id, void* buf,
+                            std::size_t len) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  it->second.rbuf = buf;
+  it->second.rlen = len;
+  it->second.want_recv = true;
+  mark_dirty(conn_id, it->second);
+}
+
+void EpollBackend::arm_send(std::uint64_t conn_id, const void* buf,
+                            std::size_t len) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  // Eager attempt: most sends complete without waiting for EPOLLOUT.
+  const ssize_t n = ::send(it->second.fd, buf, len, MSG_NOSIGNAL);
+  if (n >= 0) {
+    ready_.push_back({BackendEvent::Kind::kSend, conn_id, -1, n});
+    return;
+  }
+  if (errno != EAGAIN && errno != EWOULDBLOCK) {
+    ready_.push_back({BackendEvent::Kind::kSend, conn_id, -1, -errno});
+    return;
+  }
+  it->second.sbuf = buf;
+  it->second.slen = len;
+  it->second.want_send = true;
+  mark_dirty(conn_id, it->second);
+}
+
+void EpollBackend::resume_accepts() {
+  if (!accepts_paused_) return;
+  if (ctl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenerKey)) {
+    accepts_paused_ = false;
+  }
+}
+
+std::size_t EpollBackend::wait(std::span<BackendEvent> out, int timeout_ms) {
+  if (accepts_paused_) {
+    const Clock::time_point now = Clock::now();
+    if (now >= accept_retry_at_) {
+      resume_accepts();
+    } else {
+      // Wake up in time for the retry (rounded up: never early).
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          accept_retry_at_ - now);
+      const int left_ms = static_cast<int>(left.count());
+      if (timeout_ms < 0 || left_ms < timeout_ms) timeout_ms = left_ms;
+    }
+  }
+  apply_dirty();
+  if (!ready_.empty()) timeout_ms = 0;  // don't block on queued events
+  std::array<epoll_event, 64> events;
+  const int n = epoll_wait(ep_, events.data(),
+                           static_cast<int>(events.size()), timeout_ms);
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ev = events[static_cast<std::size_t>(i)];
+    dispatch(ev.data.u64, ev.events);
+  }
+  std::size_t delivered = 0;
+  while (delivered < out.size() && !ready_.empty()) {
+    out[delivered++] = ready_.front();
+    ready_.pop_front();
+  }
+  return delivered;
+}
+
+bool EpollBackend::ctl(int op, int fd, std::uint32_t mask,
+                       std::uint64_t key) {
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.u64 = key;
+  return epoll_ctl(ep_, op, fd, &ev) == 0;
+}
+
+void EpollBackend::mark_dirty(std::uint64_t conn_id, ConnState& st) {
+  if (!st.dirty) {
+    st.dirty = true;
+    dirty_.push_back(conn_id);
+  }
+}
+
+void EpollBackend::apply_dirty() {
+  for (const std::uint64_t id : dirty_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    ConnState& st = it->second;
+    st.dirty = false;
+    std::uint32_t mask = 0;
+    if (st.want_recv) mask |= EPOLLIN | EPOLLRDHUP;
+    if (st.want_send) mask |= EPOLLOUT;
+    if (mask != st.armed_mask) {
+      if (ctl(EPOLL_CTL_MOD, st.fd, mask, id)) st.armed_mask = mask;
+    }
+  }
+  dirty_.clear();
+}
+
+void EpollBackend::dispatch(std::uint64_t key, std::uint32_t events) {
+  if (key == kListenerKey) {
+    drain_accepts();
+    return;
+  }
+  if (key == kWakeKey) {
+    std::uint64_t drained = 0;
+    while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
+    }
+    ready_.push_back({BackendEvent::Kind::kWake, 0, -1, 0});
+    return;
+  }
+  auto it = conns_.find(key);
+  if (it == conns_.end()) return;
+  ConnState& st = it->second;
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+    ready_.push_back({BackendEvent::Kind::kHangup, key, -1, 0});
+    return;
+  }
+  if ((events & (EPOLLIN | EPOLLRDHUP)) != 0 && st.want_recv) {
+    const ssize_t n = ::recv(st.fd, st.rbuf, st.rlen, 0);
+    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      st.want_recv = false;
+      mark_dirty(key, st);
+      ready_.push_back(
+          {BackendEvent::Kind::kRecv, key, -1, n >= 0 ? n : -errno});
+    }
+  }
+  if ((events & EPOLLOUT) != 0 && st.want_send) {
+    const ssize_t n = ::send(st.fd, st.sbuf, st.slen, MSG_NOSIGNAL);
+    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      st.want_send = false;
+      mark_dirty(key, st);
+      ready_.push_back(
+          {BackendEvent::Kind::kSend, key, -1, n >= 0 ? n : -errno});
+    }
+  }
+}
+
+void EpollBackend::drain_accepts() {
+  for (;;) {
+    const int fd = accept4(listen_fd_, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      ready_.push_back({BackendEvent::Kind::kAccepted, 0, fd, 0});
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
+      continue;  // per-connection hiccup: keep draining the backlog
+    }
+    // Persistent failure (EMFILE/ENFILE/ENOMEM/...): pause; see the
+    // header for how accepting resumes.
+    PAX_LOG_ERROR("accept4: %s; pausing accepts", std::strerror(errno));
+    if (epoll_ctl(ep_, EPOLL_CTL_DEL, listen_fd_, nullptr) == 0) {
+      accepts_paused_ = true;
+      accept_retry_at_ = Clock::now() + kAcceptRetry;
+    }
+    return;
+  }
 }
 
 }  // namespace pax::kv

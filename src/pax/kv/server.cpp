@@ -3,8 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,7 +17,6 @@
 
 #include "pax/common/check.hpp"
 #include "pax/common/log.hpp"
-#include "pax/kv/event_backend.hpp"
 
 namespace pax::kv {
 
@@ -48,28 +45,7 @@ void appendf(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
 }
 
-void pin_thread_to(unsigned cpu) {
-  const long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % static_cast<unsigned>(ncpu), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
-std::unique_ptr<EventBackend> make_backend(KvServerOptions::Backend kind) {
-  switch (kind) {
-    case KvServerOptions::Backend::kEpoll:
-      return make_epoll_backend();
-    case KvServerOptions::Backend::kIoUring:
-      return make_io_uring_backend();
-  }
-  return nullptr;
-}
-
 }  // namespace
-
-bool KvServer::io_uring_supported() { return io_uring_available(); }
 
 Result<std::unique_ptr<KvServer>> KvServer::start(
     const KvServerOptions& options) {
@@ -101,10 +77,9 @@ Result<std::unique_ptr<KvServer>> KvServer::start(
         [srv = server.get(), lp = loop.get()] { srv->event_loop(*lp); });
   }
 
-  PAX_LOG_INFO("paxkv serving on %s:%u (%zu shards, %s commit, %zu %s loops)",
+  PAX_LOG_INFO("paxkv serving on %s:%u (%zu shards, %s commit, %zu loops)",
                options.bind_address.c_str(), server->port_, shards,
-               commit_mode_name(options.commit_mode), server->loops_.size(),
-               server->loops_[0]->backend->name());
+               commit_mode_name(options.commit_mode), server->loops_.size());
   return server;
 }
 
@@ -149,14 +124,7 @@ Status KvServer::setup_listeners(const KvServerOptions& options) {
     loop->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (loop->wake_fd < 0) return io_error("eventfd failed");
 
-    loop->backend = make_backend(options.backend);
-    if (loop->backend == nullptr) {
-      return failed_precondition(
-          "io_uring backend unavailable (build without PAX_WITH_LIBURING "
-          "or kernel lacks required ops)");
-    }
-    PAX_RETURN_IF_ERROR(loop->backend->init(loop->listen_fd, loop->wake_fd));
-    backend_name_ = loop->backend->name();
+    PAX_RETURN_IF_ERROR(loop->backend.init(loop->listen_fd, loop->wake_fd));
     loops_.push_back(std::move(loop));
   }
   return Status::ok();
@@ -198,37 +166,9 @@ void KvServer::stop() {
 }
 
 void KvServer::shutdown_loop(EventLoop& loop) {
-  // Close every live connection through the backend so in-kernel I/O
-  // (io_uring SQEs holding pointers into conn buffers) quiesces before the
-  // Conns are destroyed. The loop thread has exited; single-threaded now.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(loop.conns.size());
-  for (auto& [id, conn] : loop.conns) ids.push_back(id);
-  for (const std::uint64_t id : ids) {
-    auto it = loop.conns.find(id);
-    if (it == loop.conns.end()) continue;
-    std::unique_ptr<Conn> conn = std::move(it->second);
-    loop.conns.erase(it);
-    if (!loop.backend->remove_conn(id, conn->fd)) {
-      loop.dying.emplace(id, std::move(conn));
-    }
-  }
-  std::array<BackendEvent, 64> events;
-  for (int spin = 0; !loop.dying.empty() && spin < 200; ++spin) {
-    const std::size_t n = loop.backend->wait(events, /*timeout_ms=*/10);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (events[i].kind == BackendEvent::Kind::kClosed) {
-        loop.dying.erase(events[i].conn_id);
-      }
-    }
-  }
-  if (!loop.dying.empty()) {
-    PAX_LOG_ERROR("loop %zu: %zu connections failed to quiesce",
-                  loop.index, loop.dying.size());
-    for (auto& [id, conn] : loop.dying) conn.release();  // leak, don't UAF
-    loop.dying.clear();
-  }
-  loop.backend.reset();
+  // The loop thread has exited; single-threaded now.
+  for (const auto& [id, conn] : loop.conns) loop.backend.remove_conn(id);
+  loop.conns.clear();
   if (loop.wake_fd >= 0) ::close(loop.wake_fd);
   if (loop.listen_fd >= 0) ::close(loop.listen_fd);
   loop.wake_fd = loop.listen_fd = -1;
@@ -240,12 +180,9 @@ void KvServer::wake_loop(EventLoop& loop) {
 }
 
 void KvServer::event_loop(EventLoop& loop) {
-  if (options_.pin_loops) {
-    pin_thread_to(static_cast<unsigned>(loop.index));
-  }
   std::array<BackendEvent, 64> events;
   while (!stop_.load(std::memory_order_acquire)) {
-    const std::size_t n = loop.backend->wait(events, /*timeout_ms=*/100);
+    const std::size_t n = loop.backend.wait(events, /*timeout_ms=*/100);
     for (std::size_t i = 0; i < n; ++i) {
       const BackendEvent& ev = events[i];
       switch (ev.kind) {
@@ -264,13 +201,6 @@ void KvServer::event_loop(EventLoop& loop) {
         case BackendEvent::Kind::kHangup:
           close_conn(loop, ev.conn_id);
           break;
-        case BackendEvent::Kind::kClosed:
-          loop.dying.erase(ev.conn_id);
-          loop.backend->resume_accepts();
-          break;
-        case BackendEvent::Kind::kAcceptPaused:
-          // close_conn → resume_accepts() re-arms once an fd frees up.
-          break;
       }
     }
   }
@@ -281,10 +211,9 @@ void KvServer::on_accepted(EventLoop& loop, int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
   conn->id = loop.next_conn_id++;
   conn->rbuf.resize(kRecvBufBytes);
-  if (!loop.backend->add_conn(conn->id, fd).is_ok()) {
+  if (!loop.backend.add_conn(conn->id, fd).is_ok()) {
     ::close(fd);
     return;
   }
@@ -296,8 +225,7 @@ void KvServer::on_accepted(EventLoop& loop, int fd) {
 
 void KvServer::arm_recv(EventLoop& loop, Conn& conn) {
   conn.recv_armed = true;
-  loop.backend->arm_recv(conn.id, conn.fd, conn.rbuf.data(),
-                         conn.rbuf.size());
+  loop.backend.arm_recv(conn.id, conn.rbuf.data(), conn.rbuf.size());
 }
 
 void KvServer::on_recv(EventLoop& loop, std::uint64_t conn_id,
@@ -390,8 +318,8 @@ void KvServer::try_flush(EventLoop& loop, Conn& conn) {
 
   if (conn.out_off < conn.out.size()) {
     conn.send_armed = true;
-    loop.backend->arm_send(conn.id, conn.fd, conn.out.data() + conn.out_off,
-                           conn.out.size() - conn.out_off);
+    loop.backend.arm_send(conn.id, conn.out.data() + conn.out_off,
+                          conn.out.size() - conn.out_off);
   }
 }
 
@@ -412,18 +340,10 @@ void KvServer::on_send(EventLoop& loop, std::uint64_t conn_id,
 }
 
 void KvServer::close_conn(EventLoop& loop, std::uint64_t conn_id) {
-  auto it = loop.conns.find(conn_id);
-  if (it == loop.conns.end()) return;
-  std::unique_ptr<Conn> conn = std::move(it->second);
-  loop.conns.erase(it);
+  if (loop.conns.erase(conn_id) == 0) return;
   conns_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (!loop.backend->remove_conn(conn_id, conn->fd)) {
-    // In-kernel I/O still references conn's buffers; hold it until the
-    // backend delivers kClosed.
-    loop.dying.emplace(conn_id, std::move(conn));
-    return;
-  }
-  loop.backend->resume_accepts();  // an fd just freed up (no-op otherwise)
+  loop.backend.remove_conn(conn_id);
+  loop.backend.resume_accepts();  // an fd just freed up (no-op otherwise)
 }
 
 void KvServer::drain_completions(EventLoop& loop) {
@@ -479,9 +399,6 @@ void KvServer::post_completions(std::vector<Completion> batch) {
 }
 
 void KvServer::worker_loop(std::size_t shard) {
-  if (options_.pin_loops) {
-    pin_thread_to(static_cast<unsigned>(options_.loop_threads + shard));
-  }
   ShardWorker& worker = *workers_[shard];
   const bool independent =
       options_.commit_mode == KvServerOptions::CommitMode::kIndependent;
@@ -622,8 +539,6 @@ void KvServer::coordinator_loop() {
   }
 }
 
-const char* KvServer::backend_name() const { return backend_name_; }
-
 KvServerStats KvServer::stats() const {
   KvServerStats s;
   s.conns_accepted = conns_accepted_.load(std::memory_order_relaxed);
@@ -651,7 +566,6 @@ std::string KvServer::stats_json() const {
   out += "{\n";
   appendf(out, "  \"commit_mode\": \"%s\",\n",
           commit_mode_name(options_.commit_mode));
-  appendf(out, "  \"backend\": \"%s\",\n", backend_name());
   appendf(out, "  \"loops\": %zu,\n", options_.loop_threads);
   appendf(out, "  \"shards\": %zu,\n", store_->shard_count());
   appendf(out, "  \"log_flushes_total\": %llu,\n",

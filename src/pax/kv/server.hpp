@@ -16,14 +16,9 @@
 // There is no cross-loop connection state: a connection is born, served,
 // and destroyed on one loop, so the hot path takes no lock that another
 // loop contends on (the per-loop completion queue is the only
-// producer/consumer handoff). Each loop drives its sockets through an
-// EventBackend (event_backend.hpp): level-triggered epoll with direct
-// syscalls, or an io_uring submission path that batches every staged
-// recv/send SQE into one submit_and_wait per iteration — selected at
-// runtime via KvServerOptions::backend, byte-identical protocol behavior
-// either way. pin_loops pins loop i to CPU i and shard worker j to CPU
-// loop_threads + j (mod the CPU count), so loops and workers stop
-// migrating on multi-core hosts.
+// producer/consumer handoff). Each loop drives its sockets through its own
+// EpollBackend (epoll_backend.hpp): level-triggered epoll with direct
+// syscalls behind an arm/complete contract.
 //
 // Per-connection pipelining falls out of the in-flight deque: a client may
 // write any number of request frames before reading; the server caps the
@@ -78,6 +73,7 @@
 #include <vector>
 
 #include "pax/common/status.hpp"
+#include "pax/kv/epoll_backend.hpp"
 #include "pax/kv/protocol.hpp"
 #include "pax/kv/store.hpp"
 
@@ -91,19 +87,9 @@ struct KvServerOptions {
   enum class CommitMode { kGroup, kIndependent, kVolatile };
   CommitMode commit_mode = CommitMode::kGroup;
 
-  /// I/O engine per event loop. kIoUring requires both build support
-  /// (PAX_WITH_LIBURING) and a capable kernel — start() fails cleanly
-  /// otherwise; probe with KvServer::io_uring_supported() first.
-  enum class Backend { kEpoll, kIoUring };
-  Backend backend = Backend::kEpoll;
-
   /// Event-loop threads, each with its own SO_REUSEPORT listener and
   /// disjoint connection set (clamped to >= 1).
   std::size_t loop_threads = 1;
-
-  /// Pin loop i → CPU i and shard worker j → CPU loop_threads + j
-  /// (mod CPU count). Off by default: only wins on multi-core hosts.
-  bool pin_loops = false;
 
   /// kGroup cadence: a wave fires when this many write acks are pending…
   std::uint64_t group_max_ops = 256;
@@ -128,18 +114,12 @@ struct KvServerStats {
   std::uint64_t bytes_out = 0;
 };
 
-class EventBackend;
-
 class KvServer {
  public:
   /// Binds, listens, and spawns the event loops, shard workers, and (in
   /// kGroup mode) the commit coordinator. Returns with the server live.
   static Result<std::unique_ptr<KvServer>> start(
       const KvServerOptions& options);
-
-  /// True when Backend::kIoUring would work here: the build has io_uring
-  /// support and the running kernel provides the required ops.
-  static bool io_uring_supported();
 
   /// stop() + join everything.
   ~KvServer();
@@ -153,9 +133,6 @@ class KvServer {
   /// Number of event-loop threads actually running.
   std::size_t loop_count() const { return loops_.size(); }
 
-  /// "epoll" or "io_uring".
-  const char* backend_name() const;
-
   /// Graceful shutdown: stops accepting, joins all threads, closes every
   /// connection. Idempotent. Parked write acks are completed (their wave
   /// is flushed) before the coordinator exits.
@@ -164,8 +141,8 @@ class KvServer {
   KvStore& store() { return *store_; }
   KvServerStats stats() const;
 
-  /// The STATS payload: server counters plus serving-plane shape (backend,
-  /// loops) plus, per shard, the runtime's RuntimeStats/SyncStats,
+  /// The STATS payload: server counters plus serving-plane shape (loops)
+  /// plus, per shard, the runtime's RuntimeStats/SyncStats,
   /// PipelineStats, device log-flush counters, and the group-commit wave
   /// stats — the observability surface for tuning under live traffic.
   std::string stats_json() const;
@@ -193,14 +170,14 @@ class KvServer {
   };
 
   struct Conn {
-    int fd = -1;
     std::uint64_t id = 0;
     FrameParser parser;
     std::uint64_t next_seq = 0;  // seq of the next request parsed
     std::uint64_t base_seq = 0;  // seq of inflight.front()
     std::deque<Pending> inflight;
-    std::vector<std::byte> rbuf;  // receive buffer (stable: backends keep
-                                  // a pointer into it while a recv is armed)
+    std::vector<std::byte> rbuf;  // receive buffer (stable: the backend
+                                  // keeps a pointer into it while a recv
+                                  // is armed)
     std::vector<std::byte> out;   // ordered response bytes being sent
     std::size_t out_off = 0;
     bool recv_armed = false;
@@ -214,13 +191,10 @@ class KvServer {
     std::size_t index = 0;
     int listen_fd = -1;  // this loop's SO_REUSEPORT listener
     int wake_fd = -1;
-    std::unique_ptr<EventBackend> backend;
+    EpollBackend backend;
     std::thread thread;
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-    // Closed conns with in-kernel I/O still draining (io_uring): buffers
-    // must stay alive until the backend delivers kClosed.
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> dying;
     std::uint64_t next_conn_id = 2;  // 0/1 reserved (listener, wake)
 
     // This loop's MPSC completion queue: workers/coordinator → loop.
@@ -263,9 +237,6 @@ class KvServer {
   KvServerOptions options_;
   std::unique_ptr<KvStore> store_;
   std::uint16_t port_ = 0;
-  // Cached at setup so stats_json() stays truthful after stop() tears the
-  // loops down (paxkv dumps a final STATS document on SIGTERM).
-  const char* backend_name_ = "?";
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<bool> stop_{false};

@@ -172,23 +172,31 @@ std::size_t Shape::op_count() const {
   return n;
 }
 
+// The strings below are built by appending: GCC 12 at -O3 raises a false
+// -Wrestrict on `"literal" + std::to_string(n)`.
 std::string var_name(unsigned v) {
   if (v == 0) return "x";
   if (v == 1) return "y";
-  return "v" + std::to_string(v);
+  std::string name = "v";
+  name += std::to_string(v);
+  return name;
 }
 
 std::string Outcome::to_string() const {
   std::string out;
   for (std::size_t r = 0; r < regs.size(); ++r) {
     if (!out.empty()) out += " ";
-    out += "r" + std::to_string(r) + "=" + std::to_string(regs[r]);
+    out += 'r';
+    out += std::to_string(r);
+    out += '=';
+    out += std::to_string(regs[r]);
   }
   if (!regs.empty() && !finals.empty()) out += " | ";
   for (std::size_t v = 0; v < finals.size(); ++v) {
     if (v > 0) out += " ";
-    out += var_name(static_cast<unsigned>(v)) + "=" +
-           std::to_string(finals[v]);
+    out += var_name(static_cast<unsigned>(v));
+    out += '=';
+    out += std::to_string(finals[v]);
   }
   return out;
 }
@@ -222,7 +230,8 @@ std::string schedule_string(std::span<const unsigned> order) {
   std::string out;
   for (unsigned c : order) {
     if (!out.empty()) out += " ";
-    out += "P" + std::to_string(c);
+    out += 'P';
+    out += std::to_string(c);
   }
   return out;
 }

@@ -11,6 +11,14 @@
 
 namespace pax::testing {
 
+/// `prefix` followed by decimal `n`, built by appending: GCC 12 at -O3
+/// flags the equivalent `"literal" + std::to_string(n)` with a false
+/// -Wrestrict, which breaks Release builds with warnings as errors.
+inline std::string numbered(std::string prefix, std::size_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 /// A line filled with a recognizable per-line pattern derived from `tag`.
 inline LineData patterned_line(std::uint64_t tag) {
   LineData d;
