@@ -3,9 +3,9 @@
 // Without line tracking the batched host sync path memcmps all 64 lines of
 // every dirty page against a fetched device shadow, so persist() pays for
 // pages touched, not lines written. With track_lines, the region keeps
-// per-page candidate bitmaps and per-line digests of the last-synced
-// contents; the diff skips digest-clean lines without touching the shadow
-// and fetches only the candidates. This bench sweeps dirty-line density x
+// per-line digests of the last-synced contents; the diff skips
+// digest-clean lines without touching the shadow and fetches only the
+// mismatching ones. This bench sweeps dirty-line density x
 // tracking on/off over a fixed dirty-page set and reports bytes memcmp'd
 // per epoch (the quantity tracking is meant to crush) and persist wall
 // time.

@@ -78,7 +78,19 @@ Status PageWalRuntime::recover(pmem::PmemPool& pool) {
 
 Result<Epoch> PageWalRuntime::persist() {
   ++stats_.persists;
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
+  auto taken = region_->take_written();
+  if (!taken.ok()) return taken.status();
+  const std::vector<PageIndex>& dirty = taken.value();
+  auto committed = commit(dirty);
+  if (!committed.ok()) {
+    // Nothing was committed: the pages go back into the written set.
+    const Status back = region_->put_back(dirty);
+    if (!back.is_ok()) return back;
+  }
+  return committed;
+}
+
+Result<Epoch> PageWalRuntime::commit(const std::vector<PageIndex>& dirty) {
 
   // 1. Log the PM pre-image of every dirty page; all records durable before
   //    any write-back.
@@ -109,8 +121,6 @@ Result<Epoch> PageWalRuntime::persist() {
   pool_->commit_epoch(committed);
   writer_->reset();
   epoch_ = committed + 1;
-
-  PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
   return committed;
 }
 

@@ -10,11 +10,12 @@
 //     Abl 2 bench quantifies this).
 //
 // The implementation reuses the same substrates as libpax (VpmRegion for
-// fault tracking, PmemPool's epoch cell, the wal record format) so the two
-// systems differ only in the property under study: logging granularity.
+// first-write tracking, PmemPool's epoch cell, the wal record format) so the
+// two systems differ only in the property under study: logging granularity.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "pax/common/status.hpp"
 #include "pax/common/types.hpp"
@@ -42,8 +43,9 @@ class PageWalRuntime {
   std::byte* base() const { return region_->base(); }
   std::size_t size() const { return region_->size(); }
 
-  /// Snapshot commit: logs the pre-image of every dirty *page*, writes the
-  /// pages back, commits the epoch cell, re-protects.
+  /// Snapshot commit: takes the written pages (re-arming them), logs the
+  /// pre-image of every one of those *pages*, writes them back, commits the
+  /// epoch cell. On failure the pages go back into the written set.
   Result<Epoch> persist();
 
   Epoch committed_epoch() const { return pool_->committed_epoch(); }
@@ -57,6 +59,9 @@ class PageWalRuntime {
 
  private:
   PageWalRuntime() = default;
+
+  /// persist() after the take: log, write back, commit.
+  Result<Epoch> commit(const std::vector<PageIndex>& dirty);
 
   pmem::PmemDevice* pm_ = nullptr;
   std::optional<pmem::PmemPool> pool_;

@@ -2,6 +2,10 @@
 
 #include <array>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace pax {
 namespace {
 
@@ -34,9 +38,46 @@ const Crc32cTables& tables() {
   return kTables;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same CRC32C, 8 bytes per
+// instruction. Compiled for SSE4.2 and called only when the CPU has it.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::span<const std::byte> data, std::uint32_t seed) {
+  std::uint64_t crc = ~seed;
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  while (n >= 8) {
+    std::uint64_t word;
+    __builtin_memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (n-- > 0) crc32 = _mm_crc32_u8(crc32, static_cast<std::uint8_t>(*p++));
+  return ~crc32;
+}
+#endif
+
+using CrcFn = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+
+CrcFn select_crc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
+#endif
+  return crc32c_slice8;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
+  static const CrcFn kImpl = select_crc32c();
+  return kImpl(data, seed);
+}
+
+std::uint32_t crc32c_slice8(std::span<const std::byte> data,
+                            std::uint32_t seed) {
   const auto& t = tables().t;
   std::uint32_t crc = ~seed;
   const std::byte* p = data.data();

@@ -2,9 +2,10 @@
 //
 // Every undo-log record and the pool header carry a CRC so that recovery can
 // distinguish a torn (partially persisted) record from a complete one. CRC32C
-// is the storage-industry standard polynomial (iSCSI, ext4, LevelDB). The
-// implementation is a slice-by-8 table-driven software CRC: portable and
-// ~1 B/cycle, plenty for a simulated device.
+// is the storage-industry standard polynomial (iSCSI, ext4, LevelDB). On
+// x86-64 CPUs with SSE4.2, crc32c() uses the crc32 instruction (chosen once
+// at run time); elsewhere it runs the slice-by-8 table-driven software CRC,
+// which stays as the portable reference. Both give bit-identical results.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,11 @@ namespace pax {
 /// Computes CRC32C over `data`, seeded with `seed` (pass the previous CRC to
 /// chain multi-part computations; 0 for a fresh computation).
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+/// The slice-by-8 software implementation (the reference crc32c() must
+/// match; used directly where the CPU lacks SSE4.2).
+std::uint32_t crc32c_slice8(std::span<const std::byte> data,
+                            std::uint32_t seed = 0);
 
 /// Convenience overload for raw buffers.
 std::uint32_t crc32c(const void* data, std::size_t size,

@@ -623,8 +623,10 @@ std::string KvServer::stats_json() const {
             static_cast<unsigned long long>(r.device_calls),
             static_cast<unsigned long long>(r.sync_batches));
     appendf(out,
-            "     \"sync\": {\"pages_scanned\": %llu, \"lines_diffed\": "
-            "%llu, \"lines_skipped\": %llu, \"lines_synced\": %llu},\n",
+            "     \"sync\": {\"tracker\": \"%s\", \"pages_scanned\": %llu, "
+            "\"lines_diffed\": %llu, \"lines_skipped\": %llu, "
+            "\"lines_synced\": %llu},\n",
+            rt.tracker_name(),
             static_cast<unsigned long long>(sync.pages_scanned),
             static_cast<unsigned long long>(sync.lines_diffed),
             static_cast<unsigned long long>(sync.lines_skipped),

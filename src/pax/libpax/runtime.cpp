@@ -29,15 +29,15 @@ std::unordered_map<const pmem::PmemDevice*, std::uintptr_t>& base_registry() {
 }
 
 // Reads one cache line as relaxed atomic 64-bit word loads. The
-// mutator-vs-flusher diff race is benign by contract (§3.5): a page stays
-// writable and dirty until persist() re-protects it, so whatever torn value
-// this captures is re-examined by a later, quiesced diff before it can be
-// committed. The loads are genuinely atomic rather than raw loads under a
-// TSan exemption, which makes the race defined behavior on both sides —
-// concurrent mutators that may overlap a live diff must pair with atomic
-// word stores (tests use relaxed word fills) — and lets the TSan job run
-// with zero suppressions. Relaxed word loads compile to plain movs on
-// x86-64, so this costs nothing over the old exempted version.
+// mutator-vs-flusher diff race is benign by contract (§3.5): the diff runs
+// on pages already taken and re-armed (VpmRegion::take_written), so a store
+// racing this capture lands after the re-arm and the page is taken again
+// by a later diff before it can be committed. The loads are genuinely
+// atomic rather than raw loads under a TSan exemption, which makes the race
+// defined behavior on both sides — concurrent mutators that may overlap a
+// live diff must pair with atomic word stores (tests use relaxed word
+// fills) — and lets the TSan job run with zero suppressions. Relaxed word
+// loads compile to plain movs on x86-64.
 LineData capture_line(const std::byte* src) {
   constexpr std::size_t kWords = kCacheLineSize / sizeof(std::uint64_t);
   std::uint64_t words[kWords];
@@ -52,6 +52,16 @@ LineData capture_line(const std::byte* src) {
 
 std::uint32_t line_crc(const LineData& d) {
   return crc32c(d.bytes.data(), d.bytes.size());
+}
+
+constexpr std::uint64_t kAllLines = ~std::uint64_t{0};
+static_assert(kLinesPerPage == 64, "line masks assume 64 lines per page");
+
+/// The diff rule for a taken page with valid digests: the lines whose
+/// digest mismatches, or every line when none does (a written page whose
+/// single changed line collides with its digest is still compared).
+std::uint64_t lines_to_compare(std::uint64_t mismatched) {
+  return mismatched != 0 ? mismatched : kAllLines;
 }
 
 }  // namespace
@@ -322,69 +332,53 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages) {
       if (track_lines_) crc[l] = line_crc(cur[l]);
     }
 
-    if (region_->line_digests_valid(page)) {
-      // Tracked page: only the candidate lines — fault-observed stores plus
-      // digest mismatches — touch the device shadow. A candidate bit forces
-      // the memcmp even when its digest matches (the collision fallback);
-      // the remaining lines are skipped outright.
-      std::uint64_t want = region_->candidate_lines(page);
+    // A page with valid digests compares only the lines the diff rule
+    // picks (lines_to_compare); the others are skipped without touching the
+    // device shadow. Otherwise the whole page is compared and, with
+    // tracking on, the compare (re)seeds every digest.
+    const bool seed = track_lines_ && !region_->line_digests_valid(page);
+    std::uint64_t want = kAllLines;
+    if (track_lines_ && !seed) {
+      std::uint64_t mismatched = 0;
       for (std::size_t l = 0; l < kLinesPerPage; ++l) {
         if (crc[l] != region_->line_digest(page, l)) {
-          want |= std::uint64_t{1} << l;
+          mismatched |= std::uint64_t{1} << l;
         }
       }
-      std::array<LineIndex, kLinesPerPage> cand;
-      std::array<std::size_t, kLinesPerPage> slot;
-      std::size_t n = 0;
-      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        if ((want >> l) & 1) {
-          cand[n] = lines[l];
-          slot[n] = l;
-          ++n;
-        }
+      want = lines_to_compare(mismatched);
+    }
+    std::array<LineIndex, kLinesPerPage> cand;
+    std::array<std::size_t, kLinesPerPage> slot;
+    std::size_t n = 0;
+    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+      if ((want >> l) & 1) {
+        cand[n] = lines[l];
+        slot[n] = l;
+        ++n;
       }
-      sync_stats_.lines_skipped += kLinesPerPage - n;
-      if (n == 0) continue;
-      ++stats_.device_calls;
-      device_->peek_lines(std::span(cand.data(), n),
-                          std::span(shadow.data(), n));
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t l = slot[i];
-        ++stats_.lines_diff_checked;
-        ++sync_stats_.lines_diffed;
-        if (cur[l] == shadow[i]) {
-          // Candidate but unchanged (rewrite of the same value, or a
-          // collision suspect that compared clean): the device already
-          // holds cur, so the digest can advance immediately.
+    }
+    sync_stats_.lines_skipped += kLinesPerPage - n;
+    ++stats_.device_calls;
+    device_->peek_lines(std::span(cand.data(), n),
+                        std::span(shadow.data(), n));
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t l = slot[i];
+      ++stats_.lines_diff_checked;
+      ++sync_stats_.lines_diffed;
+      if (cur[l] == shadow[i]) {
+        // Unchanged (or rewritten with the same value): the device already
+        // holds cur, so the digest can advance immediately.
+        if (track_lines_) {
           region_->set_line_digest(page, l, crc[l]);
           if (auto* chk = pm_->checker()) chk->on_digest_apply(lines[l].value);
-          continue;
         }
-        PAX_RETURN_IF_ERROR(push(page, l));
+        continue;
       }
-    } else {
-      // Untracked (or first-diff) page: fetch the whole page shadow; with
-      // tracking on, this full compare seeds every digest (the rebuild).
-      ++stats_.device_calls;
-      device_->peek_lines(lines, shadow);
-      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        ++stats_.lines_diff_checked;
-        ++sync_stats_.lines_diffed;
-        if (cur[l] == shadow[l]) {
-          if (track_lines_) {
-            region_->set_line_digest(page, l, crc[l]);
-            if (auto* chk = pm_->checker()) {
-              chk->on_digest_apply(lines[l].value);
-            }
-          }
-          continue;
-        }
-        PAX_RETURN_IF_ERROR(push(page, l));
-      }
-      if (track_lines_) {
-        pending_valid.push_back(page);
-        ++sync_stats_.digest_rebuilds;
-      }
+      PAX_RETURN_IF_ERROR(push(page, l));
+    }
+    if (seed) {
+      pending_valid.push_back(page);
+      ++sync_stats_.digest_rebuilds;
     }
   }
   return flush();
@@ -402,9 +396,9 @@ void PaxRuntime::sync_step() {
     std::lock_guard plock(pipe_mu_);
     if (!pipe_queue_.empty() || pipe_inflight_) return;
   }
-  // Pages stay writable and dirty until persist() re-protects them, so any
-  // store racing this diff is re-examined later; see runtime.hpp.
-  Status s = sync_pages(region_->dirty_pages());
+  // The take re-arms what it hands out, so a store racing this diff is
+  // taken again by the next sync_step or persist (vpm_region.hpp).
+  Status s = take_and_sync();
   if (!s.is_ok()) {
     PAX_LOG_WARN("background sync: %s", s.to_string().c_str());
     return;
@@ -430,18 +424,8 @@ Result<Epoch> PaxRuntime::persist_async() {
     if (!committed.ok()) return committed.status();
   }
 
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
-  PAX_RETURN_IF_ERROR(sync_pages(dirty));
-
-  auto pull = [this](LineIndex line) -> std::optional<LineData> {
-    const PoolOffset off = line.byte_offset() - pool_->data_offset();
-    return LineData::from_bytes({region_->base() + off, kCacheLineSize});
-  };
-  auto sealed = device_->seal_epoch(pull);
-  if (!sealed.ok()) return sealed.status();
-
-  PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
-  return sealed;
+  PAX_RETURN_IF_ERROR(take_and_sync());
+  return device_->seal_epoch(region_pull());
 }
 
 Result<Epoch> PaxRuntime::complete_persist() {
@@ -489,21 +473,31 @@ Result<Epoch> PaxRuntime::persist() {
     return wait_for_pipeline_epoch(sealed.value());
   }
 
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
-  PAX_RETURN_IF_ERROR(sync_pages(dirty));
+  PAX_RETURN_IF_ERROR(take_and_sync());
+  return device_->persist(region_pull());
+}
 
-  // The pull callback hands the device the region's (authoritative) current
-  // line; re-protecting the pages below is the ownership-revocation half of
-  // the RdShared analogy.
-  auto pull = [this](LineIndex line) -> std::optional<LineData> {
+Status PaxRuntime::take_and_sync() {
+  // Taking re-arms the pages before the diff reads them: the ownership-
+  // revocation half of the RdShared analogy, done up front.
+  auto taken = region_->take_written();
+  if (!taken.ok()) return taken.status();
+  const Status st = sync_pages(taken.value());
+  if (!st.is_ok()) {
+    // Un-protecting puts the pages back into the written set, so a retry
+    // diffs them again.
+    const Status back = region_->put_back(taken.value());
+    if (!back.is_ok()) PAX_LOG_WARN("put back: %s", back.to_string().c_str());
+  }
+  return st;
+}
+
+device::PaxDevice::PullFn PaxRuntime::region_pull() const {
+  // Hands the device the region's (authoritative) current line.
+  return [this](LineIndex line) -> std::optional<LineData> {
     const PoolOffset off = line.byte_offset() - pool_->data_offset();
     return LineData::from_bytes({region_->base() + off, kCacheLineSize});
   };
-  auto committed = device_->persist(pull);
-  if (!committed.ok()) return committed.status();
-
-  PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
-  return committed;
 }
 
 Result<Epoch> PaxRuntime::persist_async_pipelined() {
@@ -521,20 +515,21 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
     }
   }
 
-  // Swap the dirty set into the sealed-epoch snapshot. The §3.5 quiescence
-  // contract holds for the duration of this call, so plain copies are
-  // race-free; mutation of the next epoch resumes once the pages below are
-  // re-protected and we return.
+  // Take the written set (re-arming it) and copy it into the sealed-epoch
+  // snapshot. The §3.5 quiescence contract holds for the duration of this
+  // call, so plain copies are race-free; mutation of the next epoch resumes
+  // once we return.
   //
   // Digests advance to the snapshot here, not after the drain: the device
   // WILL hold the snapshot once the job commits, and the next epoch's
   // want-computation must compare against it — deferring would let a line
-  // rewritten to its pre-snapshot value slip past the digest check (the
-  // candidate bit only covers the page's first faulting line). A failed
-  // drain invalidates the affected pages' digests wholesale instead. No
-  // kDigestApply events are emitted: that rule models the single-buffered
-  // path, where a digest may not outrun its in-flight batch.
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
+  // rewritten to its pre-snapshot value slip past the digest check. A
+  // failed drain invalidates the affected pages' digests wholesale instead.
+  // No kDigestApply events are emitted: that rule models the single-
+  // buffered path, where a digest may not outrun its in-flight batch.
+  auto taken = region_->take_written();
+  if (!taken.ok()) return taken.status();
+  const std::vector<PageIndex>& dirty = taken.value();
   PipelineJob job;
   job.pages.reserve(dirty.size());
   std::vector<std::uint64_t> page_lines;
@@ -546,18 +541,18 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
     std::memcpy(snap.bytes.get(), region_->page_span(page).data(),
                 kPageSize);
     if (track_lines_ && region_->line_digests_valid(page)) {
-      std::uint64_t want = region_->candidate_lines(page);
+      std::uint64_t mismatched = 0;
       for (std::size_t l = 0; l < kLinesPerPage; ++l) {
         const std::uint32_t crc =
             crc32c(snap.bytes.get() + l * kCacheLineSize, kCacheLineSize);
         if (crc != region_->line_digest(page, l)) {
-          want |= std::uint64_t{1} << l;
+          mismatched |= std::uint64_t{1} << l;
           region_->set_line_digest(page, l, crc);
         }
       }
-      snap.want = want;
+      snap.want = lines_to_compare(mismatched);
     } else {
-      snap.want = ~std::uint64_t{0};
+      snap.want = kAllLines;
       if (track_lines_) {
         for (std::size_t l = 0; l < kLinesPerPage; ++l) {
           region_->set_line_digest(
@@ -572,7 +567,6 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
     page_lines.push_back(region_line_to_pool_line(page, 0).value);
     job.pages.push_back(std::move(snap));
   }
-  PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
 
   // Only this (sync_mu_-serialized) producer advances the epoch cursor.
   job.epoch = pipe_next_epoch_++;
@@ -720,10 +714,16 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
 
   if (!status.is_ok()) {
     // Snapshot-time digests describe content the device may not hold now;
-    // drop the job's pages back to the full-compare path.
+    // drop the job's pages back to the full-compare path, and back into the
+    // written set.
+    std::vector<PageIndex> pages;
+    pages.reserve(job.pages.size());
     for (const PipelinePageSnap& snap : job.pages) {
       region_->invalidate_line_digests(snap.page);
+      pages.push_back(snap.page);
     }
+    const Status back = region_->put_back(pages);
+    if (!back.is_ok()) PAX_LOG_WARN("put back: %s", back.to_string().c_str());
   }
 
   std::lock_guard plock(pipe_mu_);

@@ -5,16 +5,16 @@
 //
 //   pool file / in-memory PM  →  PmemPool  →  recovery (§3.4)
 //        →  PaxDevice (undo logger, HBM buffer, write-back coordinator)
-//        →  VpmRegion (write-fault tracking — the §5.1 paging frontend)
+//        →  VpmRegion (first-write tracking — the §5.1 paging frontend)
 //        →  PaxHeap + PaxStlAllocator (unmodified std:: containers)
 //
-// The application mutates the region with plain loads and stores. First
-// stores to a page fault once per epoch (the RdOwn-equivalent); persist()
-// diffs dirty pages against the device's copy at cache-line granularity,
-// undo-logs and writes back exactly the changed lines, commits the epoch
-// cell, and re-arms the page protections. After a crash, map_pool() rolls
-// the pool back to the last persist() — the application cannot observe a
-// partially applied epoch.
+// The application mutates the region with plain loads and stores. The
+// first store to a page is recorded once per epoch (the RdOwn-equivalent);
+// persist() takes the written pages (re-arming them), diffs them against
+// the device's copy at cache-line granularity, undo-logs and writes back
+// exactly the changed lines, and commits the epoch cell. After a crash,
+// map_pool() rolls the pool back to the last persist() — the application
+// cannot observe a partially applied epoch.
 //
 // Thread safety: many application threads may mutate the region; persist()
 // must be called while no thread is mutating (§3.5, the paper's contract).
@@ -66,15 +66,15 @@ struct RuntimeOptions {
   /// write_intent / writeback_line), bit-for-bit identical to pre-batching
   /// behavior and kept as the reference the batched path is tested against.
   std::size_t sync_batch_lines = 256;
-  /// Line-granular dirty tracking (vpm_region.hpp): per-page candidate
-  /// bitmaps plus per-line digests of the last-synced contents let the diff
-  /// skip lines whose digest still matches without peeking the device
-  /// shadow — persist cost then follows lines written, not pages touched.
+  /// Line-granular dirty tracking (vpm_region.hpp): per-line digests of the
+  /// last-synced contents let the diff skip lines whose digest still
+  /// matches without peeking the device shadow — persist cost then follows
+  /// lines written, not pages touched.
   /// false keeps the diff (and every stat it reports) bit-for-bit on the
   /// page-granular path.
   bool track_lines = true;
-  /// Pipelined epochs: persist_async() swaps the dirty set into an
-  /// O(dirty-pages) snapshot, re-arms page protection, and returns
+  /// Pipelined epochs: persist_async() takes the written set (re-arming
+  /// it) into an O(dirty-pages) snapshot and returns
   /// immediately; a background drain worker runs diff → sync_lines → seal →
   /// commit per queued snapshot, overlapping persist(N) with mutation of
   /// N+1. The value bounds the drain queue (snapshots enqueued or in
@@ -108,7 +108,7 @@ struct RuntimeStats {
 
 /// Where the sync path's line examinations went. lines_diffed counts lines
 /// memcmp'd against a fetched device shadow; lines_skipped counts lines the
-/// line tracker proved clean (candidate bit clear, digest match) without
+/// line tracker proved clean (digest match on a page with a mismatch) without
 /// touching the shadow; lines_synced counts lines actually pushed. Without
 /// track_lines, lines_skipped stays 0 and lines_diffed == the legacy
 /// lines_diff_checked.
@@ -190,9 +190,9 @@ class PaxRuntime {
   /// for the duration of the call: mutation of the next epoch may resume
   /// the moment it returns.
   ///
-  /// With pipeline_depth > 0 the call does no device work at all: it swaps
-  /// the dirty set (page snapshot + candidate bitmaps + digests) into a
-  /// sealed-epoch snapshot in O(dirty pages), re-arms write protection, and
+  /// With pipeline_depth > 0 the call does no device work at all: it takes
+  /// the written set (re-arming it) and copies it into a sealed-epoch
+  /// snapshot (page bytes + digests) in O(dirty pages), and
   /// hands the snapshot to the background drain worker, which runs the
   /// diff → sync_lines → undo-durable → seal → commit sequence while the
   /// application mutates epoch N+1. Blocks only when pipeline_depth
@@ -236,6 +236,8 @@ class PaxRuntime {
 
   device::PaxDevice& device() { return *device_; }
   VpmRegion& region() { return *region_; }
+  /// The vPM write tracker in use: "uffd-wp" or "mprotect".
+  const char* tracker_name() const { return region_->tracker_name(); }
   pmem::PmemDevice& pm() { return *pm_; }
   pmem::PmemPool& pool() { return *pool_; }
   const device::RecoveryReport& recovery_report() const {
@@ -252,6 +254,14 @@ class PaxRuntime {
       std::unique_ptr<pmem::PmemDevice> owned_pm, pmem::PmemDevice* pm,
       const RuntimeOptions& options);
 
+  /// Takes the region's written set and diffs it (sync_pages); if the diff
+  /// fails, puts the taken pages back so nothing written is lost. Caller
+  /// must hold sync_mu_.
+  Status take_and_sync();
+
+  /// Seal/persist pull callback reading the live region.
+  device::PaxDevice::PullFn region_pull() const;
+
   /// Diffs the given pages line-by-line against the device view and pushes
   /// changed lines into the device, on the calling thread: the legacy
   /// per-line path when sync_batch_lines == 1, the batched path otherwise.
@@ -265,25 +275,25 @@ class PaxRuntime {
 
   /// Diffs `pages` with the TSan-safe line capture and flushes dirty lines
   /// through PaxDevice::sync_lines in sync_batch_lines-sized batches. With
-  /// track_lines, a page whose digests are valid peeks only its candidate
-  /// lines (bitmap | digest mismatch); otherwise the full page shadow is
-  /// fetched and the digests (re)seeded.
+  /// track_lines, a page whose digests are valid peeks only the lines whose
+  /// digest mismatches (all of them if none does, vpm_region.hpp);
+  /// otherwise the full page shadow is fetched and the digests (re)seeded.
   Status sync_pages_batched(const std::vector<PageIndex>& pages);
 
   // --- Epoch pipeline (pipeline_depth > 0) --------------------------------
   //
-  // Double-buffered dirty sets: persist_async snapshots the active dirty
-  // set (page bytes, want-bitmaps, digests advanced to the snapshot) into a
-  // PipelineJob and re-arms protection; the region's live bitmaps then
-  // track epoch N+1 while the drain worker replays the snapshot against the
+  // Double-buffered dirty sets: persist_async takes the written set
+  // (re-arming it) and snapshots it (page bytes, want-bitmaps, digests
+  // advanced to the snapshot) into a PipelineJob; the region then tracks
+  // epoch N+1 while the drain worker replays the snapshot against the
   // device. Lock order: sync_mu_ (app side) > pipe_mu_ (queue state); the
   // drain worker takes ONLY pipe_mu_, so an app thread may block on the
   // pipeline CVs while holding sync_mu_ without deadlocking it.
 
   struct PipelinePageSnap {
     PageIndex page{0};
-    /// Lines to examine against the device shadow: candidate bits plus
-    /// snapshot-vs-digest mismatches (all lines when digests were invalid).
+    /// Lines to examine against the device shadow: the snapshot-vs-digest
+    /// mismatches (all lines when none mismatched or digests were invalid).
     std::uint64_t want = 0;
     std::unique_ptr<std::byte[]> bytes;  // kPageSize copy, quiesced
   };

@@ -3,29 +3,48 @@
 // libpax maps an anonymous region at a fixed address hint (so raw pointers
 // inside persistent structures stay valid across process restarts, the same
 // trick PMDK's mmap hint plays), seeds it from PM, and write-protects it.
-// The first store to each page raises a write fault; the SIGSEGV handler
-// marks the page dirty and unprotects it. This is precisely the paging
-// hybrid the paper proposes in §5.1: the fault is the device's RdOwn-
-// equivalent first-touch notification, after which libpax tracks the page's
-// modifications at cache-line granularity by diffing against the device's
-// copy (see PaxRuntime::sync_pages).
+// The first store to each page after it is armed marks the page written.
+// This is the paging hybrid the paper proposes in §5.1: the first write is
+// the device's RdOwn-equivalent first-touch notification, after which
+// libpax tracks the page's modifications at cache-line granularity by
+// diffing against the device's copy (see PaxRuntime::sync_pages).
 //
-// Faults on non-vPM addresses are forwarded to the previously installed
-// SIGSEGV disposition, so real bugs still crash loudly.
+// Two trackers implement the same contract; create() probes once per
+// process and picks the first that works:
+//
+//   uffd-wp   userfaultfd write-protect in async mode (Linux 6.7+). The
+//             kernel resolves each first write itself — no signal, no VMA
+//             split — and records it in the page table. take_written()
+//             collects the written pages and re-arms them in one
+//             PAGEMAP_SCAN ioctl with PM_SCAN_WP_MATCHING. A scan walks the
+//             whole region, so it costs time in proportion to the region's
+//             size, not to the pages written (DESIGN.md, host sync).
+//   mprotect  the fallback for older kernels and seccomp'd sandboxes: pages
+//             are mapped read-only, the first store raises SIGSEGV, and the
+//             handler flags the page and unprotects it. take_written()
+//             re-protects with one mprotect per run of adjacent pages. Only
+//             this tracker installs the SIGSEGV handler; faults on non-vPM
+//             addresses are forwarded to the previous disposition, so real
+//             bugs still crash loudly.
+//
+// The take/re-arm contract: take_written() hands out every page written
+// since its last arming and re-arms it in the same step, per page
+// atomically with respect to concurrent stores. A store that races the
+// caller's diff of a taken page therefore lands after the re-arm and shows
+// up in the next take. put_back() returns pages to the written set after a
+// failed sync, so no dirty page is lost.
 //
 // Line-granular tracking (optional, `track_lines`): the region additionally
-// keeps, per page, a 64-bit candidate-line bitmap and a per-line 32-bit
-// CRC32C digest of the line's last-synced contents. The fault handler sets
-// the faulting line's candidate bit (the one store the kernel lets us
-// observe exactly); the diff path updates digests at capture time and skips
-// lines whose digest still matches without touching the device shadow —
-// persist cost then scales with lines written, not pages touched. Candidate
-// bits force a memcmp regardless of digest equality (the digest-collision
-// fallback); a line modified while its page was already writable is caught
-// by its digest mismatch instead, which is probabilistic with a 2^-32
-// per-line false-clean window — the price of sub-page tracking without
-// per-line faults. `track_lines = false` keeps the region bit-for-bit on
-// the page-granular path.
+// keeps a per-line 32-bit CRC32C digest of each line's last-synced
+// contents. The diff compares a taken page's lines whose digest mismatches
+// and skips the rest without touching the device shadow, so persist cost
+// follows lines written, not pages touched. A taken page with NO
+// mismatching digest is compared in full: something on it was written, and
+// a single changed line whose new contents collide with its digest is still
+// found exactly. A changed line is missed only when its digest collides AND
+// another line on the same page also changed — a 2^-32 per-line
+// false-clean window, the price of sub-page tracking without per-line
+// faults. `track_lines = false` keeps the region on the page-granular path.
 #pragma once
 
 #include <atomic>
@@ -38,17 +57,20 @@
 #include "pax/common/status.hpp"
 #include "pax/common/types.hpp"
 
+struct page_region;  // <linux/fs.h>, Linux 6.7: one run of PAGEMAP_SCAN output
+
 namespace pax::libpax {
 
 class VpmRegion {
  public:
-  /// Maps `size` bytes (page-aligned) and installs the fault handler. The
-  /// region starts fully unprotected (writable); call protect_all() after
-  /// seeding it. `fixed_hint`, if nonzero, requests a specific base address
-  /// — PaxRuntime passes the address a pool was mapped at before, so that
-  /// recovered raw pointers stay valid when the same pool is reopened.
-  /// `track_lines` allocates the per-page candidate bitmaps and per-line
-  /// digests for line-granular dirty tracking.
+  enum class Tracker : std::uint8_t { kUffdWp, kMprotect };
+
+  /// Maps `size` bytes (page-aligned) with the process's write tracker. The
+  /// region starts unarmed (writable, nothing recorded); call protect_all()
+  /// after seeding it. `fixed_hint`, if nonzero, requests a specific base
+  /// address — PaxRuntime passes the address a pool was mapped at before, so
+  /// that recovered raw pointers stay valid when the same pool is reopened.
+  /// `track_lines` allocates the per-line digests.
   static Result<std::unique_ptr<VpmRegion>> create(std::size_t size,
                                                    std::uintptr_t fixed_hint = 0,
                                                    bool track_lines = false);
@@ -65,42 +87,43 @@ class VpmRegion {
     return {base_ + page.byte_offset(), kPageSize};
   }
 
-  /// Write-protects every page and clears the dirty set: the state at an
-  /// epoch boundary.
+  Tracker tracker() const { return tracker_; }
+  /// "uffd-wp" or "mprotect".
+  const char* tracker_name() const;
+
+  /// Arms every page and forgets the written set: the state at an epoch
+  /// boundary.
   Status protect_all();
 
-  /// Write-protects the given pages and clears their dirty flags (used
-  /// after persist() handled exactly those pages). Contiguous page runs are
-  /// merged into single mprotect calls, so re-arming a densely dirty region
-  /// costs O(runs) syscalls, not O(pages). `pages` must be sorted ascending
-  /// (dirty_pages() returns them that way).
-  Status protect_pages(std::span<const PageIndex> pages);
+  /// Takes the written set: every page written since it was last armed, in
+  /// index order, each re-armed in the same step (see the contract above).
+  /// Adds the pages to fault_count().
+  Result<std::vector<PageIndex>> take_written();
 
-  /// Pages written since their last protection, in index order. Does not
-  /// clear flags or re-protect — pages remain writable until protected
-  /// again, so a concurrent writer cannot slip through unseen. O(1) when
-  /// nothing is dirty (counter early-out), O(page_count) otherwise.
+  /// Returns taken pages to the written set (they read as written again and
+  /// stay writable until the next take). For a sync that failed after its
+  /// take. Subtracts the pages from fault_count().
+  Status put_back(std::span<const PageIndex> pages);
+
+  /// Pages written since their last arming, in index order, without taking
+  /// them.
   std::vector<PageIndex> dirty_pages() const;
 
-  bool is_dirty(PageIndex page) const;
+  /// Pages first written, as counted by the takes (net of put_back).
   std::uint64_t fault_count() const {
     return faults_.load(std::memory_order_relaxed);
   }
 
-  /// Dirty pages right now (approximate under concurrent faulting — exact
-  /// whenever mutators are quiesced).
-  std::size_t dirty_page_count() const {
-    return dirty_count_.load(std::memory_order_acquire);
-  }
-
-  /// mprotect invocations made by protect_all/protect_pages (coalescing
-  /// observability; fault-path unprotects are not counted).
+  /// Re-arm calls made by protect_all/take_written: PAGEMAP_SCAN ioctls
+  /// under uffd-wp, mprotect calls (one per run of adjacent pages) under
+  /// mprotect.
   std::uint64_t protect_syscall_count() const {
     return protect_syscalls_.load(std::memory_order_relaxed);
   }
 
-  /// Dispatches a fault at `addr` (called by the global handler). Returns
-  /// true if the address belongs to this region and was handled.
+  /// Dispatches a fault at `addr` (mprotect tracker; called by the global
+  /// handler). Returns true if the address belongs to this region and was
+  /// handled.
   bool handle_fault(void* addr);
 
   // --- Line-granular tracking (track_lines mode) -------------------------
@@ -128,13 +151,6 @@ class VpmRegion {
     }
   }
 
-  /// Candidate-line bitmap: bit l set means line l must be memcmp'd against
-  /// the device shadow regardless of its digest (set by the fault handler
-  /// for the one store it observes; cleared when the page is re-protected).
-  std::uint64_t candidate_lines(PageIndex page) const {
-    return line_bits_[page.value].load(std::memory_order_acquire);
-  }
-
   /// CRC32C of the line's last-synced contents. Only meaningful while
   /// line_digests_valid(page). Written by the (single, sync_mu_-serialized)
   /// diff owner of the page; the test suite also pokes it to simulate
@@ -147,29 +163,57 @@ class VpmRegion {
   }
 
  private:
-  VpmRegion(std::byte* b, std::size_t size, bool track_lines);
+  VpmRegion(std::byte* b, std::size_t size, bool track_lines, Tracker tracker);
+
+  /// uffd-wp: PAGEMAP_SCAN over the region collecting written pages into
+  /// `out` (nothing before the first protect_all), `vec_len` page runs per
+  /// ioctl call; `rearm` write-protects them in the same walk. Adds the
+  /// ioctl calls made to *calls.
+  Status scan_written(bool rearm, std::vector<PageIndex>* out,
+                      ::page_region* vec, std::size_t vec_len,
+                      std::uint64_t* calls) const;
+  /// Most page runs a scan can return: every other page written.
+  std::size_t max_scan_regions() const { return (page_count() + 1) / 2; }
+  /// uffd-wp: UFFDIO_WRITEPROTECT over [first, first + pages) pages.
+  Status uffd_protect(std::size_t first, std::size_t pages, bool protect);
+  /// mprotect tracker: sets [first, first + pages) to `prot` and the pages'
+  /// written flags to `written`; false (errno set) if mprotect failed.
+  /// Async-signal-safe. Caller holds arm_lock_.
+  bool mprotect_run(std::size_t first, std::size_t pages, int prot,
+                    bool written);
+  void lock_arming();
+  void unlock_arming() { arm_lock_.store(false, std::memory_order_release); }
 
   std::byte* base_;
   std::size_t size_;
   bool track_lines_;
-  // One flag per page; written from the signal handler (atomics only).
-  std::unique_ptr<std::atomic<std::uint8_t>[]> dirty_;
+  Tracker tracker_;
   std::atomic<std::uint64_t> faults_{0};
-  // Count of set dirty flags, maintained by exchange-guarded transitions so
-  // double faults / double clears never skew it. Lets dirty_pages() skip the
-  // O(page_count) scan when the region is clean (the common flusher case).
-  std::atomic<std::size_t> dirty_count_{0};
   std::atomic<std::uint64_t> protect_syscalls_{0};
 
-  // track_lines mode only (null otherwise). Candidate bits are written from
-  // the signal handler (lock-free atomics); digests only from the page's
-  // diff owner, so a plain array suffices.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> line_bits_;
+  // uffd-wp: the region's userfaultfd and a /proc/self/pagemap descriptor.
+  // Registered pages read as written until protect_all() first arms them,
+  // so scans report nothing before then.
+  int uffd_ = -1;
+  int pagemap_fd_ = -1;
+  std::atomic<bool> armed_{false};
+  // take_written()'s scan output, max_scan_regions() long. One taker at a
+  // time uses it — PaxRuntime takes under its sync mutex.
+  std::unique_ptr<::page_region[]> scan_regions_;
+
+  // mprotect tracker: one written flag per page, set by the SIGSEGV handler
+  // (atomics only), and a count of set flags so a clean region skips the
+  // O(page_count) scan. arm_lock_ is a spinlock the handler and the arming
+  // calls hold across "flag + protection change", so a take can never clear
+  // a flag whose page a late handler is about to unprotect.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> written_;
+  std::atomic<std::size_t> written_count_{0};
+  std::atomic<bool> arm_lock_{false};
+
+  // track_lines mode only (null otherwise). Digests are written only by the
+  // page's diff owner, so a plain array suffices.
   std::unique_ptr<std::atomic<std::uint8_t>[]> digests_valid_;
   std::unique_ptr<std::uint32_t[]> digests_;
-
-  static_assert(kLinesPerPage == 64,
-                "candidate-line bitmaps assume 64 lines per page");
 };
 
 }  // namespace pax::libpax

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,31 @@ TEST(Crc32cTest, MaskRoundTrip) {
   for (std::uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu, 0xe3069283u}) {
     EXPECT_EQ(unmask_crc(mask_crc(crc)), crc);
     EXPECT_NE(mask_crc(crc), crc);  // masking must actually change the value
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesSlice8Reference) {
+  // crc32c() may run the SSE4.2 instruction; it must agree bit for bit with
+  // the slice-by-8 reference for every length, misalignment and seed.
+  std::vector<std::byte> buf(300 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::byte> data(buf.data() + start, len);
+      ASSERT_EQ(crc32c(data), crc32c_slice8(data))
+          << "start=" << start << " len=" << len;
+      // Chained seeds: continue from a previous CRC.
+      const std::uint32_t seed = crc32c_slice8(data.first(len / 2));
+      ASSERT_EQ(crc32c(data.subspan(len / 2), seed),
+                crc32c_slice8(data.subspan(len / 2), seed))
+          << "chained start=" << start << " len=" << len;
+    }
+  }
+  for (std::uint32_t seed : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
+    const std::span<const std::byte> data(buf.data() + 3, 61);
+    EXPECT_EQ(crc32c(data, seed), crc32c_slice8(data, seed)) << seed;
   }
 }
 

@@ -176,8 +176,8 @@ TEST_P(KvServerMatrix, StatsExposesShardRuntimeAndGroupCommit) {
   for (const char* needle :
        {"\"commit_mode\": \"group\"", "\"loops\"",
         "\"log_flushes_total\"", "\"acked_write_ops\"", "\"group_commit\"",
-        "\"waves\"", "\"shard_stats\"", "\"sync\"", "\"pipeline\"",
-        "\"ring_appends\""}) {
+        "\"waves\"", "\"shard_stats\"", "\"sync\"", "\"tracker\"",
+        "\"pipeline\"", "\"ring_appends\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n"
                                                     << json;
   }

@@ -156,41 +156,51 @@ TEST(HostSyncEquivalenceTest, FlusherShutdownIsPrompt) {
   EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
-TEST(VpmRegionBatchingTest, ProtectPagesCoalescesContiguousRuns) {
+TEST(VpmRegionBatchingTest, TakeRearmsInOneCallPerRunOrOneScan) {
+  // Tracker-specific: the mprotect tracker re-arms with one mprotect per
+  // run of adjacent pages; uffd-wp collects and re-arms everything in one
+  // PAGEMAP_SCAN. (libpax_host_sync_test runs only under the process's
+  // default tracker; libpax_region_test also runs under the fallback.)
   auto region = VpmRegion::create(64 * kPageSize).value();
   ASSERT_TRUE(region->protect_all().is_ok());
   // Dirty three runs: {3,4,5}, {10}, {20,21}.
   for (std::size_t p : {3, 4, 5, 10, 20, 21}) {
     region->base()[p * kPageSize] = std::byte{1};
   }
-  auto dirty = region->dirty_pages();
-  ASSERT_EQ(dirty.size(), 6u);
-  EXPECT_EQ(region->dirty_page_count(), 6u);
+  ASSERT_EQ(region->dirty_pages().size(), 6u);
 
   const auto base_calls = region->protect_syscall_count();
-  ASSERT_TRUE(region->protect_pages(dirty).is_ok());
-  EXPECT_EQ(region->protect_syscall_count() - base_calls, 3u);  // one per run
-  EXPECT_EQ(region->dirty_page_count(), 0u);
-
-  // Re-protected pages fault again on the next write.
-  const auto base_faults = region->fault_count();
-  region->base()[4 * kPageSize] = std::byte{2};
-  EXPECT_EQ(region->fault_count() - base_faults, 1u);
-  EXPECT_TRUE(region->is_dirty(PageIndex{4}));
-}
-
-TEST(VpmRegionBatchingTest, CleanRegionSkipsTheScan) {
-  auto region = VpmRegion::create(16 * kPageSize).value();
-  ASSERT_TRUE(region->protect_all().is_ok());
-  EXPECT_EQ(region->dirty_page_count(), 0u);
+  auto taken = region->take_written();
+  ASSERT_TRUE(taken.ok());
+  EXPECT_EQ(taken.value().size(), 6u);
+  const std::uint64_t expected_calls =
+      region->tracker() == VpmRegion::Tracker::kMprotect ? 3u : 1u;
+  EXPECT_EQ(region->protect_syscall_count() - base_calls, expected_calls)
+      << region->tracker_name();
   EXPECT_TRUE(region->dirty_pages().empty());
 
+  // Re-armed pages are recorded again on the next write.
+  region->base()[4 * kPageSize] = std::byte{2};
+  EXPECT_EQ(region->dirty_pages(), std::vector<PageIndex>{PageIndex{4}});
+}
+
+TEST(VpmRegionBatchingTest, CleanRegionTakesNothing) {
+  // Tracker-specific: a clean mprotect-tracked region skips the page scan
+  // and makes no syscall; uffd-wp always makes its one scan.
+  auto region = VpmRegion::create(16 * kPageSize).value();
+  ASSERT_TRUE(region->protect_all().is_ok());
+  const auto base_calls = region->protect_syscall_count();
+  auto taken = region->take_written();
+  ASSERT_TRUE(taken.ok());
+  EXPECT_TRUE(taken.value().empty());
+  const std::uint64_t expected_calls =
+      region->tracker() == VpmRegion::Tracker::kMprotect ? 0u : 1u;
+  EXPECT_EQ(region->protect_syscall_count() - base_calls, expected_calls)
+      << region->tracker_name();
+
   region->base()[5 * kPageSize + 9] = std::byte{1};
-  region->base()[5 * kPageSize + 10] = std::byte{2};  // same page: counted once
-  EXPECT_EQ(region->dirty_page_count(), 1u);
-  auto dirty = region->dirty_pages();
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0], PageIndex{5});
+  region->base()[5 * kPageSize + 10] = std::byte{2};  // same page: once
+  EXPECT_EQ(region->dirty_pages(), std::vector<PageIndex>{PageIndex{5}});
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests of the line-granular incremental diff (track_lines): candidate-bit
-// collision fallback, digest-driven skipping, tracking state reset across
-// crash/recovery, and stats equivalence with tracking off.
+// Tests of the line-granular incremental diff (track_lines): the full-page
+// compare that covers a single-line digest collision, digest-driven
+// skipping, tracking state reset across crash/recovery, and stats
+// equivalence with tracking off.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -39,15 +40,16 @@ TEST(IncrementalDiffTest, DigestCollisionFallsBackToMemcmp) {
     ASSERT_TRUE(rt->persist().ok());  // seeds the page's digests
     ASSERT_TRUE(rt->region().line_digests_valid(PageIndex{kPage}));
 
-    // New epoch: line 0 <- B. The store faults (the page was re-protected
-    // by persist), so line 0's candidate bit is set.
+    // New epoch: line 0 <- B. The page was re-armed by persist, so the
+    // store records it as written.
     std::memset(page_base(*rt, kPage), 0xB2, kCacheLineSize);
-    ASSERT_EQ(rt->region().candidate_lines(PageIndex{kPage}) & 1u, 1u);
+    ASSERT_EQ(rt->region().dirty_pages(),
+              std::vector<PageIndex>{PageIndex{kPage}});
 
     // Simulate a CRC collision: overwrite the stored digest with the CRC of
     // the *new* contents while the device still holds A. Digest-only
-    // tracking would falsely skip the line; the candidate bit must force
-    // the memcmp and push B anyway.
+    // tracking would falsely skip the line; a written page with no
+    // mismatching digest is compared in full, which pushes B anyway.
     rt->region().set_line_digest(PageIndex{kPage}, 0,
                                  crc_of_line(*rt, kPage, 0));
 
@@ -67,11 +69,11 @@ TEST(IncrementalDiffTest, DigestMatchSkipsLinesWithoutTouchingShadow) {
   constexpr std::size_t kPage = 5;
   std::memset(page_base(*rt, kPage), 0x11, kPageSize);
   ASSERT_TRUE(rt->persist().ok());
-  // Persist re-protected the page: the candidate set restarts empty.
-  EXPECT_EQ(rt->region().candidate_lines(PageIndex{kPage}), 0u);
+  // Persist took (and re-armed) the page: nothing is left written.
+  EXPECT_TRUE(rt->region().dirty_pages().empty());
 
-  // Touch exactly one line. Only that line (fault bit + digest mismatch)
-  // may reach the memcmp; the other 63 must be skipped outright.
+  // Touch exactly one line. Only that line (digest mismatch) may reach the
+  // memcmp; the other 63 must be skipped outright.
   page_base(*rt, kPage)[0] = std::byte{0x22};
   const SyncStats before = rt->sync_stats();
   ASSERT_TRUE(rt->persist().ok());
@@ -80,6 +82,13 @@ TEST(IncrementalDiffTest, DigestMatchSkipsLinesWithoutTouchingShadow) {
   EXPECT_EQ(after.lines_diffed - before.lines_diffed, 1u);
   EXPECT_EQ(after.lines_skipped - before.lines_skipped, kLinesPerPage - 1);
   EXPECT_EQ(after.lines_synced - before.lines_synced, 1u);
+
+  // The one pushed line survives power loss.
+  rt.reset();
+  pm->crash(pmem::CrashConfig::drop_all());
+  rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  EXPECT_EQ(page_base(*rt, kPage)[0], std::byte{0x22});
+  EXPECT_EQ(page_base(*rt, kPage)[1], std::byte{0x11});
 }
 
 TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
@@ -96,10 +105,10 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   pm->crash(pmem::CrashConfig::torn(0.5, 99));
 
   auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
-  // A fresh region: no page may carry digests or candidate bits from the
+  // A fresh region: no page may carry digests or a written mark from the
   // previous life — the first diff of each page is a full rebuild.
   EXPECT_FALSE(rt->region().line_digests_valid(PageIndex{kPage}));
-  EXPECT_EQ(rt->region().candidate_lines(PageIndex{kPage}), 0u);
+  EXPECT_TRUE(rt->region().dirty_pages().empty());
   for (std::size_t i = 0; i < kPageSize; ++i) {
     ASSERT_EQ(page_base(*rt, kPage)[i], std::byte{0x33}) << "byte " << i;
   }
@@ -110,6 +119,13 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   const SyncStats after = rt->sync_stats();
   EXPECT_GE(after.digest_rebuilds - before.digest_rebuilds, 1u);
   EXPECT_TRUE(rt->region().line_digests_valid(PageIndex{kPage}));
+
+  // The rebuilt page's changed line was pushed and survives power loss.
+  rt.reset();
+  pm->crash(pmem::CrashConfig::drop_all());
+  rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  EXPECT_EQ(page_base(*rt, kPage)[0], std::byte{0x44});
+  EXPECT_EQ(page_base(*rt, kPage)[1], std::byte{0x33});
 }
 
 TEST(IncrementalDiffTest, TrackingOffReproducesLegacyStatsExactly) {

@@ -342,6 +342,7 @@ int cmd_synctest(std::size_t pages, std::size_t lines_per_page) {
   const libpax::SyncStats ss = r.sync_stats();
   std::printf("synctest: %zu page(s) x %zu line(s), %d epoch(s)\n", pages,
               lines_per_page, kEpochs);
+  std::printf("  write tracker:   %s\n", r.tracker_name());
   std::printf("  pages scanned:   %" PRIu64 "\n", ss.pages_scanned);
   std::printf("  lines diffed:    %" PRIu64 "\n", ss.lines_diffed);
   std::printf("  lines skipped:   %" PRIu64 "\n", ss.lines_skipped);

@@ -81,6 +81,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Handlers first: a SIGINT/SIGTERM that arrives while the server starts
+  // (or right after "listening on") must stop it cleanly, not kill it.
+  sem_init(&g_stop_sem, 0, 0);
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
+
   auto server = pax::kv::KvServer::start(options);
   if (!server.ok()) {
     std::fprintf(stderr, "paxkv: %s\n",
@@ -90,9 +96,6 @@ int main(int argc, char** argv) {
   std::printf("paxkv: listening on %u\n", server.value()->port());
   std::fflush(stdout);
 
-  sem_init(&g_stop_sem, 0, 0);
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
   while (sem_wait(&g_stop_sem) != 0 && errno == EINTR) {
   }
 
