@@ -1,22 +1,19 @@
 // Ablation — line-granular incremental diffing.
 //
-// Without line tracking the batched host sync path memcmps all 64 lines of
-// every dirty page against a fetched device shadow, so persist() pays for
-// pages touched, not lines written. With track_lines, the region keeps
+// A page-granular diff memcmps all 64 lines of every written page against
+// a fetched device shadow (pages scanned x 4 KiB per epoch), so persist()
+// would pay for pages touched, not lines written. The region keeps
 // per-line digests of the last-synced contents; the diff skips
 // digest-clean lines without touching the shadow and fetches only the
-// mismatching ones. This bench sweeps dirty-line density x
-// tracking on/off over a fixed dirty-page set and reports bytes memcmp'd
-// per epoch (the quantity tracking is meant to crush) and persist wall
-// time.
+// mismatching ones. This bench sweeps dirty-line density over a fixed
+// dirty-page set and reports bytes memcmp'd per epoch against that
+// full-scan cost, and persist wall time.
 //
 // Expectations encoded in the headline fields:
-//   * at <= 12.5% density (8/64 lines) tracking cuts bytes memcmp'd by
-//     >= 4x (it actually approaches 64/density);
-//   * with tracking off the diff degenerates to the full-page scan
-//     (lines_diffed == 64 * pages), i.e. the PR 2 behavior;
-//   * lines diffed per line written stays near 1.0 at ~10% density with
-//     tracking on (the perf-guard ratio).
+//   * at <= 12.5% density (8/64 lines) the digests cut bytes memcmp'd by
+//     >= 4x against the full scan (it actually approaches 64/density);
+//   * lines diffed per line written stays near 1.0 at ~10% density (the
+//     perf-guard ratio).
 //
 // Results land in BENCH_incremental_diff.json (cwd) for the driver.
 #include <chrono>
@@ -40,24 +37,22 @@ constexpr int kEpochs = 4;  // measured; one extra seed epoch runs first
 
 struct Row {
   std::size_t density;  // dirty lines per page, out of kLinesPerPage
-  bool tracked;
   double persist_ms_mean;
   double bytes_memcmp_per_epoch;
+  double full_scan_bytes_per_epoch;  // pages scanned x kPageSize
   double lines_diffed_per_epoch;
   double lines_skipped_per_epoch;
   double lines_synced_per_epoch;
   bool correct;
 };
 
-Row run(std::size_t density, bool tracked) {
+Row run(std::size_t density) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
 
   RuntimeOptions opts;
   opts.log_size = 8 << 20;
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
-  opts.sync_batch_lines = 256;
-  opts.track_lines = tracked;
 
   double persist_ms = 0;
   SyncStats base{}, after{};
@@ -95,7 +90,7 @@ Row run(std::size_t density, bool tracked) {
   }  // teardown without persist: crash semantics
 
   // Crash and recover: the last persisted epoch must come back intact
-  // whether or not the diff was taking the tracked shortcut.
+  // although the diff skipped most of each page.
   pm->crash(pmem::CrashConfig::drop_all());
   auto rt = PaxRuntime::attach(pm.get(), opts).value();
   bool correct = true;
@@ -115,10 +110,12 @@ Row run(std::size_t density, bool tracked) {
       static_cast<double>(after.lines_skipped - base.lines_skipped) / kEpochs;
   const double synced =
       static_cast<double>(after.lines_synced - base.lines_synced) / kEpochs;
+  const double scanned =
+      static_cast<double>(after.pages_scanned - base.pages_scanned) / kEpochs;
   return Row{density,
-             tracked,
              persist_ms / kEpochs,
              diffed * kCacheLineSize,
+             scanned * kPageSize,
              diffed,
              skipped,
              synced,
@@ -132,58 +129,47 @@ int main() {
   std::printf("=== Incremental diff: bytes memcmp'd vs dirty density ===\n");
   std::printf("host cpus: %u, dirty pages/epoch: %zu, lines/page: %zu\n",
               cpus, kDirtyPages, kLinesPerPage);
-  std::printf("%8s %8s %13s %15s %13s %11s %8s\n", "density", "tracked",
-              "persist[ms]", "memcmp B/ep", "diffed/ep", "synced/ep",
-              "correct");
+  std::printf("%8s %13s %15s %17s %13s %11s %8s\n", "density",
+              "persist[ms]", "memcmp B/ep", "full scan B/ep", "diffed/ep",
+              "synced/ep", "correct");
 
   std::vector<Row> rows;
   for (std::size_t density : {std::size_t{1}, std::size_t{4}, std::size_t{6},
                               std::size_t{8}, std::size_t{16},
                               std::size_t{64}}) {
-    for (bool tracked : {false, true}) {
-      Row r = run(density, tracked);
-      rows.push_back(r);
-      std::printf("%5zu/64 %8s %13.3f %15.0f %13.0f %11.0f %8s\n", r.density,
-                  r.tracked ? "yes" : "no", r.persist_ms_mean,
-                  r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
-                  r.lines_synced_per_epoch, r.correct ? "yes" : "NO");
-      std::fflush(stdout);
-    }
+    Row r = run(density);
+    rows.push_back(r);
+    std::printf("%5zu/64 %13.3f %15.0f %17.0f %13.0f %11.0f %8s\n",
+                r.density, r.persist_ms_mean, r.bytes_memcmp_per_epoch,
+                r.full_scan_bytes_per_epoch, r.lines_diffed_per_epoch,
+                r.lines_synced_per_epoch, r.correct ? "yes" : "NO");
+    std::fflush(stdout);
   }
 
   // Headlines the acceptance criteria read off directly.
-  auto find = [&](std::size_t density, bool tracked) -> const Row* {
+  auto find = [&](std::size_t density) -> const Row* {
     for (const Row& r : rows) {
-      if (r.density == density && r.tracked == tracked) return &r;
+      if (r.density == density) return &r;
     }
     return nullptr;
   };
-  const Row* untracked8 = find(8, false);
-  const Row* tracked8 = find(8, true);
+  const Row* at8 = find(8);
   const double memcmp_ratio_12pct =
-      (tracked8 != nullptr && untracked8 != nullptr &&
-       tracked8->bytes_memcmp_per_epoch > 0)
-          ? untracked8->bytes_memcmp_per_epoch /
-                tracked8->bytes_memcmp_per_epoch
+      (at8 != nullptr && at8->bytes_memcmp_per_epoch > 0)
+          ? at8->full_scan_bytes_per_epoch / at8->bytes_memcmp_per_epoch
           : 0.0;
-  const Row* guard = find(6, true);  // 6/64 ~= 9.4%, the ~10% point
+  const Row* guard = find(6);  // 6/64 ~= 9.4%, the ~10% point
   const double diffed_per_written_10pct =
       (guard != nullptr && guard->lines_synced_per_epoch > 0)
           ? guard->lines_diffed_per_epoch / guard->lines_synced_per_epoch
           : 0.0;
-  const Row* untracked_full = find(64, false);
-  const bool tracking_off_full_scan =
-      untracked_full != nullptr &&
-      untracked_full->lines_diffed_per_epoch >=
-          static_cast<double>(kDirtyPages * kLinesPerPage);
 
-  std::printf("\nbytes memcmp'd per epoch at 8/64 density: %.0f (tracked) vs "
-              "%.0f (untracked) — %.1fx reduction\n",
-              tracked8 != nullptr ? tracked8->bytes_memcmp_per_epoch : 0.0,
-              untracked8 != nullptr ? untracked8->bytes_memcmp_per_epoch : 0.0,
+  std::printf("\nbytes memcmp'd per epoch at 8/64 density: %.0f vs %.0f for "
+              "a full scan — %.1fx reduction\n",
+              at8 != nullptr ? at8->bytes_memcmp_per_epoch : 0.0,
+              at8 != nullptr ? at8->full_scan_bytes_per_epoch : 0.0,
               memcmp_ratio_12pct);
-  std::printf("lines diffed per line written at ~10%% density (tracked): "
-              "%.3f\n",
+  std::printf("lines diffed per line written at ~10%% density: %.3f\n",
               diffed_per_written_10pct);
 
   std::FILE* out = std::fopen("BENCH_incremental_diff.json", "w");
@@ -199,20 +185,19 @@ int main() {
                memcmp_ratio_12pct);
   std::fprintf(out, "  \"lines_diffed_per_line_written_at_10pct\": %.3f,\n",
                diffed_per_written_10pct);
-  std::fprintf(out, "  \"tracking_off_full_scan\": %s,\n",
-               tracking_off_full_scan ? "true" : "false");
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(
         out,
-        "    {\"density_lines\": %zu, \"track_lines\": %s, "
-        "\"persist_ms_mean\": %.3f, "
-        "\"bytes_memcmp_per_epoch\": %.0f, \"lines_diffed_per_epoch\": %.0f, "
+        "    {\"density_lines\": %zu, \"persist_ms_mean\": %.3f, "
+        "\"bytes_memcmp_per_epoch\": %.0f, "
+        "\"full_scan_bytes_per_epoch\": %.0f, "
+        "\"lines_diffed_per_epoch\": %.0f, "
         "\"lines_skipped_per_epoch\": %.0f, \"lines_synced_per_epoch\": %.0f, "
         "\"correct\": %s}%s\n",
-        r.density, r.tracked ? "true" : "false", r.persist_ms_mean,
-        r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
+        r.density, r.persist_ms_mean, r.bytes_memcmp_per_epoch,
+        r.full_scan_bytes_per_epoch, r.lines_diffed_per_epoch,
         r.lines_skipped_per_epoch, r.lines_synced_per_epoch,
         r.correct ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }

@@ -273,7 +273,11 @@ void Checker::settle_locked() {
     }
   }
   // Each backlog is seq-ordered, so a k-way merge over the few producer
-  // threads restores the global order without sorting.
+  // threads restores the global order without sorting. Tickets are dense,
+  // and emit() takes its ticket before it publishes the event: a gap after
+  // the last replayed seq is a ticket still being published. The merge
+  // stops there and the rest waits for the next settle, so the rules, the
+  // recorded stream and a later offline analysis all see one order.
   std::vector<std::size_t> next(busy.size(), 0);
   for (;;) {
     Ring* pick = nullptr;
@@ -287,9 +291,17 @@ void Checker::settle_locked() {
       }
     }
     if (pick == nullptr) break;
-    replay_event(pick->backlog[next[pick_i]++]);
+    const Event& e = pick->backlog[next[pick_i]];
+    if (e.seq > replayed_seq_ + 1) break;
+    replayed_seq_ = std::max(replayed_seq_, e.seq);
+    replay_event(e);
+    ++next[pick_i];
   }
-  for (Ring* ring : busy) ring->backlog.clear();
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    auto& backlog = busy[i]->backlog;
+    backlog.erase(backlog.begin(),
+                  backlog.begin() + static_cast<std::ptrdiff_t>(next[i]));
+  }
   ++diag_.settles;
 }
 
@@ -666,6 +678,7 @@ Report Checker::replay(std::span<const Event> events) {
   ++diag_.settles;
   // Live events emitted after the replay must order after the trace.
   seq_.store(max_seq, std::memory_order_relaxed);
+  replayed_seq_ = max_seq;
   return snapshot_report_locked();
 }
 

@@ -258,6 +258,7 @@ class Checker {
   std::size_t line_count_ = 0;
   std::uint64_t pending_count_ = 0;  // lines stored but not flushed
   std::vector<std::vector<std::uint64_t>> pushed_by_tid_;
+  std::uint64_t replayed_seq_ = 0;  // highest seq replayed so far
   std::vector<Event> recent_;  // power-of-2 ring of replayed events
   std::uint64_t recent_pos_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> log_durable_;

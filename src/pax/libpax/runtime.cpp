@@ -50,18 +50,16 @@ LineData capture_line(const std::byte* src) {
   return out;
 }
 
-std::uint32_t line_crc(const LineData& d) {
-  return crc32c(d.bytes.data(), d.bytes.size());
-}
-
 constexpr std::uint64_t kAllLines = ~std::uint64_t{0};
 static_assert(kLinesPerPage == 64, "line masks assume 64 lines per page");
 
-/// The diff rule for a taken page with valid digests: the lines whose
-/// digest mismatches, or every line when none does (a written page whose
-/// single changed line collides with its digest is still compared).
-std::uint64_t lines_to_compare(std::uint64_t mismatched) {
-  return mismatched != 0 ? mismatched : kAllLines;
+std::array<std::uint32_t, kLinesPerPage> line_crcs(
+    const std::array<LineData, kLinesPerPage>& lines) {
+  std::array<std::uint32_t, kLinesPerPage> crc;
+  for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+    crc[l] = crc32c(lines[l].bytes.data(), kCacheLineSize);
+  }
+  return crc;
 }
 
 }  // namespace
@@ -103,9 +101,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   if (options.device.persist_workers == 0) {
     return invalid_argument("device.persist_workers must be >= 1");
   }
-  if (options.sync_batch_lines == 0) {
-    return invalid_argument("sync_batch_lines must be >= 1");
-  }
 
   auto rt = std::unique_ptr<PaxRuntime>(new PaxRuntime());
   rt->owned_pm_ = std::move(owned_pm);
@@ -139,7 +134,7 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
     if (it != base_registry().end()) hint = it->second;
   }
   const std::size_t region_size = rt->pool_->data_size() & ~(kPageSize - 1);
-  auto region = VpmRegion::create(region_size, hint, options.track_lines);
+  auto region = VpmRegion::create(region_size, hint, /*track_lines=*/true);
   if (!region.ok()) return region.status();
   rt->region_ = std::move(region).value();
   {
@@ -159,9 +154,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   rt->heap_ =
       std::make_unique<PaxHeap>(rt->region_->base(), rt->region_->size());
   register_heap(rt->region_->base(), rt->heap_.get());
-
-  rt->sync_batch_lines_ = options.sync_batch_lines;
-  rt->track_lines_ = options.track_lines;
 
   rt->pipeline_depth_ = options.pipeline_depth;
   if (rt->pipeline_depth_ > 0) {
@@ -222,166 +214,120 @@ PaxRuntime::~PaxRuntime() {
 }
 
 Status PaxRuntime::sync_pages(const std::vector<PageIndex>& pages) {
-  if (sync_batch_lines_ <= 1) return sync_pages_legacy(pages);
-  return sync_pages_batched(pages);
-}
-
-Status PaxRuntime::sync_pages_legacy(const std::vector<PageIndex>& pages) {
-  for (PageIndex page : pages) {
-    ++stats_.pages_diffed;
-    ++sync_stats_.pages_scanned;
-    const bool seed_digests =
-        track_lines_ && !region_->line_digests_valid(page);
-    const std::byte* page_bytes = region_->page_span(page).data();
-    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      ++stats_.lines_diff_checked;
-      ++sync_stats_.lines_diffed;
-      const LineIndex pool_line = region_line_to_pool_line(page, l);
-      const LineData cur = capture_line(page_bytes + l * kCacheLineSize);
-      // Legacy never skips, but it still refreshes the digests so the
-      // pipelined snapshot path can trust them: after this iteration the
-      // device view equals `cur` whether or not we push.
-      if (track_lines_) {
-        region_->set_line_digest(page, l, line_crc(cur));
-        if (auto* chk = pm_->checker()) {
-          chk->on_digest_apply(pool_line.value);
-        }
-      }
-      ++stats_.device_calls;
-      const LineData device_copy = device_->peek_line(pool_line);
-      if (cur == device_copy) continue;
-      ++stats_.lines_dirty_found;
-      ++sync_stats_.lines_synced;
-      stats_.device_calls += 2;
-      PAX_RETURN_IF_ERROR(device_->write_intent(pool_line));
-      device_->writeback_line(pool_line, cur);
-    }
-    if (seed_digests) {
-      region_->mark_line_digests_valid(page);
-      ++sync_stats_.digest_rebuilds;
-    }
-  }
-  return Status::ok();
-}
-
-Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages) {
-  if (pages.empty()) return Status::ok();
-
   struct PendingDigest {
     PageIndex page;
     std::size_t line;
     std::uint32_t crc;
   };
-  std::vector<device::LineUpdate> batch;
-  batch.reserve(sync_batch_lines_);
-  std::vector<PendingDigest> pending_digests;
-  std::vector<PageIndex> pending_valid;
-  std::array<LineIndex, kLinesPerPage> lines;
-  std::array<LineData, kLinesPerPage> shadow;
-  std::array<LineData, kLinesPerPage> cur;
-  std::array<std::uint32_t, kLinesPerPage> crc;
-
-  // Digest writes trail the device: a pushed line's digest (and a rebuilt
-  // page's valid flag) is applied only once the sync_lines call carrying
-  // the line has succeeded, so a failed flush leaves the digests describing
-  // what the device actually holds and a retry re-examines the affected
-  // lines instead of skipping them.
-  auto flush = [&]() -> Status {
-    if (!batch.empty()) {
-      ++stats_.device_calls;
-      ++stats_.sync_batches;
-      Status st = device_->sync_lines(batch);
-      batch.clear();
-      if (!st.is_ok()) {
-        if (auto* chk = pm_->checker()) chk->on_sync_batch_fail();
-        return st;
-      }
-      if (auto* chk = pm_->checker()) chk->on_sync_batch_ok();
-    }
-    for (const PendingDigest& pd : pending_digests) {
-      region_->set_line_digest(pd.page, pd.line, pd.crc);
-      if (auto* chk = pm_->checker()) {
-        chk->on_digest_apply(region_line_to_pool_line(pd.page, pd.line).value);
-      }
-    }
-    pending_digests.clear();
-    for (PageIndex done : pending_valid) {
-      region_->mark_line_digests_valid(done);
-    }
-    pending_valid.clear();
-    return Status::ok();
-  };
-
-  auto push = [&](PageIndex page, std::size_t l) -> Status {
-    ++stats_.lines_dirty_found;
-    ++sync_stats_.lines_synced;
-    if (auto* chk = pm_->checker()) chk->on_sync_push(lines[l].value);
-    batch.push_back({lines[l], cur[l]});
-    if (track_lines_) pending_digests.push_back({page, l, crc[l]});
-    if (batch.size() >= sync_batch_lines_) return flush();
-    return Status::ok();
-  };
+  std::vector<PendingDigest> pending;
+  std::vector<PageIndex> seeded;
+  SyncBatch batch(stats_, sync_stats_);
+  auto* chk = pm_->checker();
+  PageLines cur;
 
   for (PageIndex page : pages) {
-    ++stats_.pages_diffed;
-    ++sync_stats_.pages_scanned;
     const std::byte* page_bytes = region_->page_span(page).data();
     for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      lines[l] = region_line_to_pool_line(page, l);
       cur[l] = capture_line(page_bytes + l * kCacheLineSize);
-      if (track_lines_) crc[l] = line_crc(cur[l]);
     }
-
-    // A page with valid digests compares only the lines the diff rule
-    // picks (lines_to_compare); the others are skipped without touching the
-    // device shadow. Otherwise the whole page is compared and, with
-    // tracking on, the compare (re)seeds every digest.
-    const bool seed = track_lines_ && !region_->line_digests_valid(page);
-    std::uint64_t want = kAllLines;
-    if (track_lines_ && !seed) {
-      std::uint64_t mismatched = 0;
-      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        if (crc[l] != region_->line_digest(page, l)) {
-          mismatched |= std::uint64_t{1} << l;
-        }
-      }
-      want = lines_to_compare(mismatched);
-    }
-    std::array<LineIndex, kLinesPerPage> cand;
-    std::array<std::size_t, kLinesPerPage> slot;
-    std::size_t n = 0;
+    const PageCrcs crc = line_crcs(cur);
+    const std::uint64_t want = lines_to_compare(page, crc);
+    auto pushed = diff_page(batch, page, cur, want);
+    if (!pushed.ok()) return pushed.status();
     for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      if ((want >> l) & 1) {
-        cand[n] = lines[l];
-        slot[n] = l;
-        ++n;
-      }
-    }
-    sync_stats_.lines_skipped += kLinesPerPage - n;
-    ++stats_.device_calls;
-    device_->peek_lines(std::span(cand.data(), n),
-                        std::span(shadow.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t l = slot[i];
-      ++stats_.lines_diff_checked;
-      ++sync_stats_.lines_diffed;
-      if (cur[l] == shadow[i]) {
-        // Unchanged (or rewritten with the same value): the device already
-        // holds cur, so the digest can advance immediately.
-        if (track_lines_) {
-          region_->set_line_digest(page, l, crc[l]);
-          if (auto* chk = pm_->checker()) chk->on_digest_apply(lines[l].value);
-        }
+      if (((want >> l) & 1) == 0) continue;
+      if ((pushed.value() >> l) & 1) {
+        pending.push_back({page, l, crc[l]});
         continue;
       }
-      PAX_RETURN_IF_ERROR(push(page, l));
+      // Unchanged (or rewritten with the same value): the device already
+      // holds cur, so the digest can advance immediately.
+      region_->set_line_digest(page, l, crc[l]);
+      if (chk != nullptr) {
+        chk->on_digest_apply(region_line_to_pool_line(page, l).value);
+      }
     }
-    if (seed) {
-      pending_valid.push_back(page);
+    if (!region_->line_digests_valid(page)) {
+      seeded.push_back(page);
       ++sync_stats_.digest_rebuilds;
     }
   }
-  return flush();
+  PAX_RETURN_IF_ERROR(flush(batch));
+
+  // Every batch carrying a pending line has succeeded. A failure above
+  // leaves the digests describing what the device actually holds, so a
+  // retry re-examines the affected lines instead of skipping them.
+  for (const PendingDigest& pd : pending) {
+    region_->set_line_digest(pd.page, pd.line, pd.crc);
+    if (chk != nullptr) {
+      chk->on_digest_apply(region_line_to_pool_line(pd.page, pd.line).value);
+    }
+  }
+  for (PageIndex page : seeded) region_->mark_line_digests_valid(page);
+  return Status::ok();
+}
+
+std::uint64_t PaxRuntime::lines_to_compare(PageIndex page,
+                                           const PageCrcs& crc) const {
+  if (!region_->line_digests_valid(page)) return kAllLines;
+  std::uint64_t mismatched = 0;
+  for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+    if (crc[l] != region_->line_digest(page, l)) {
+      mismatched |= std::uint64_t{1} << l;
+    }
+  }
+  // A written page whose single changed line collides with its digest is
+  // still compared.
+  return mismatched != 0 ? mismatched : kAllLines;
+}
+
+Result<std::uint64_t> PaxRuntime::diff_page(SyncBatch& batch, PageIndex page,
+                                            const PageLines& cur,
+                                            std::uint64_t want) {
+  ++batch.stats.pages_diffed;
+  ++batch.sync.pages_scanned;
+  const std::uint64_t first = region_line_to_pool_line(page, 0).value;
+  std::size_t n = 0;
+  for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+    if ((want >> l) & 1) batch.compared[n++] = LineIndex{first + l};
+  }
+  batch.sync.lines_skipped += kLinesPerPage - n;
+  ++batch.stats.device_calls;
+  device_->peek_lines(std::span(batch.compared.data(), n),
+                      std::span(batch.shadow.data(), n));
+  auto* chk = pm_->checker();
+  std::uint64_t pushed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ++batch.sync.lines_diffed;
+    const LineIndex pool_line = batch.compared[i];
+    const std::size_t l = pool_line.value - first;
+    if (cur[l] == batch.shadow[i]) continue;
+    ++batch.stats.lines_dirty_found;
+    ++batch.sync.lines_synced;
+    if (chk != nullptr) chk->on_sync_push(pool_line.value);
+    batch.lines.push_back({pool_line, cur[l]});
+    pushed |= std::uint64_t{1} << l;
+    if (batch.lines.size() >= RuntimeOptions::sync_batch_lines) {
+      PAX_RETURN_IF_ERROR(flush(batch));
+    }
+  }
+  return pushed;
+}
+
+Status PaxRuntime::flush(SyncBatch& batch) {
+  if (batch.lines.empty()) return Status::ok();
+  ++batch.stats.device_calls;
+  ++batch.stats.sync_batches;
+  const Status st = device_->sync_lines(batch.lines);
+  batch.lines.clear();
+  if (auto* chk = pm_->checker()) {
+    if (st.is_ok()) {
+      chk->on_sync_batch_ok();
+    } else {
+      chk->on_sync_batch_fail();
+    }
+  }
+  return st;
 }
 
 void PaxRuntime::sync_step() {
@@ -537,32 +483,17 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
   for (PageIndex page : dirty) {
     PipelinePageSnap snap;
     snap.page = page;
-    snap.bytes = std::make_unique<std::byte[]>(kPageSize);
-    std::memcpy(snap.bytes.get(), region_->page_span(page).data(),
+    snap.lines = std::make_unique<PageLines>();
+    std::memcpy(snap.lines->data(), region_->page_span(page).data(),
                 kPageSize);
-    if (track_lines_ && region_->line_digests_valid(page)) {
-      std::uint64_t mismatched = 0;
-      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        const std::uint32_t crc =
-            crc32c(snap.bytes.get() + l * kCacheLineSize, kCacheLineSize);
-        if (crc != region_->line_digest(page, l)) {
-          mismatched |= std::uint64_t{1} << l;
-          region_->set_line_digest(page, l, crc);
-        }
-      }
-      snap.want = lines_to_compare(mismatched);
-    } else {
-      snap.want = kAllLines;
-      if (track_lines_) {
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          region_->set_line_digest(
-              page, l,
-              crc32c(snap.bytes.get() + l * kCacheLineSize,
-                     kCacheLineSize));
-        }
-        region_->mark_line_digests_valid(page);
-        ++sync_stats_.digest_rebuilds;
-      }
+    const PageCrcs crc = line_crcs(*snap.lines);
+    snap.want = lines_to_compare(page, crc);
+    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+      region_->set_line_digest(page, l, crc[l]);
+    }
+    if (!region_->line_digests_valid(page)) {
+      region_->mark_line_digests_valid(page);
+      ++sync_stats_.digest_rebuilds;
     }
     page_lines.push_back(region_line_to_pool_line(page, 0).value);
     job.pages.push_back(std::move(snap));
@@ -626,67 +557,27 @@ void PaxRuntime::drain_worker_loop() {
 }
 
 Status PaxRuntime::drain_one(const PipelineJob& job) {
-  auto* chk = pm_->checker();
   RuntimeStats delta;
   SyncStats sdelta;
+  SyncBatch batch(delta, sdelta);
   Status status = Status::ok();
-
-  const std::size_t batch_lines = std::max<std::size_t>(1, sync_batch_lines_);
-  std::vector<device::LineUpdate> batch;
-  batch.reserve(batch_lines);
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::ok();
-    ++delta.device_calls;
-    ++delta.sync_batches;
-    Status st = device_->sync_lines(batch);
-    batch.clear();
-    if (!st.is_ok()) {
-      if (chk != nullptr) chk->on_sync_batch_fail();
-      return st;
-    }
-    if (chk != nullptr) chk->on_sync_batch_ok();
-    return Status::ok();
-  };
-
-  std::array<LineIndex, kLinesPerPage> cand;
-  std::array<std::size_t, kLinesPerPage> slot;
-  std::array<LineData, kLinesPerPage> shadow;
   for (const PipelinePageSnap& snap : job.pages) {
-    ++delta.pages_diffed;
-    ++sdelta.pages_scanned;
-    std::size_t n = 0;
-    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      if ((snap.want >> l) & 1) {
-        cand[n] = region_line_to_pool_line(snap.page, l);
-        slot[n] = l;
-        ++n;
-      }
+    auto pushed = diff_page(batch, snap.page, *snap.lines, snap.want);
+    if (!pushed.ok()) {
+      status = pushed.status();
+      break;
     }
-    sdelta.lines_skipped += kLinesPerPage - n;
-    if (n == 0) continue;
-    ++delta.device_calls;
-    device_->peek_lines(std::span(cand.data(), n),
-                        std::span(shadow.data(), n));
-    for (std::size_t i = 0; i < n && status.is_ok(); ++i) {
-      ++delta.lines_diff_checked;
-      ++sdelta.lines_diffed;
-      const LineData cur = LineData::from_bytes(
-          {snap.bytes.get() + slot[i] * kCacheLineSize, kCacheLineSize});
-      if (cur == shadow[i]) continue;
-      ++delta.lines_dirty_found;
-      ++sdelta.lines_synced;
-      if (chk != nullptr) chk->on_sync_push(cand[i].value);
-      batch.push_back({cand[i], cur});
-      if (batch.size() >= batch_lines) status = flush();
-    }
-    if (!status.is_ok()) break;
   }
-  if (status.is_ok()) status = flush();
+  if (status.is_ok()) status = flush(batch);
 
   if (status.is_ok()) {
     // Seal pulls the epoch-boundary image from the SNAPSHOT: the live
-    // region already carries epoch N+1. Every line the device logged this
-    // epoch was pushed from this job, so the fallback is defensive only.
+    // region already carries epoch N+1. A logged line outside the snapshot
+    // was pushed by a sync_step while the pipeline was idle; that take
+    // re-armed its page and no store reached the page before the snapshot's
+    // take, so the device's copy already is the epoch's value. nullopt keeps
+    // it — reading the live region instead would race the mutators and
+    // could seal epoch N+1 stores into epoch N.
     std::unordered_map<std::uint64_t, const PipelinePageSnap*> by_page;
     by_page.reserve(job.pages.size());
     for (const PipelinePageSnap& snap : job.pages) {
@@ -695,11 +586,8 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
     auto pull = [this, &by_page](LineIndex line) -> std::optional<LineData> {
       const PoolOffset off = line.byte_offset() - pool_->data_offset();
       const auto it = by_page.find(off / kPageSize);
-      if (it != by_page.end()) {
-        return LineData::from_bytes(
-            {it->second->bytes.get() + off % kPageSize, kCacheLineSize});
-      }
-      return LineData::from_bytes({region_->base() + off, kCacheLineSize});
+      if (it == by_page.end()) return std::nullopt;
+      return (*it->second->lines)[off % kPageSize / kCacheLineSize];
     };
     auto sealed = device_->seal_epoch(pull);
     if (!sealed.ok()) {
@@ -728,7 +616,6 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
 
   std::lock_guard plock(pipe_mu_);
   pipe_rt_delta_.pages_diffed += delta.pages_diffed;
-  pipe_rt_delta_.lines_diff_checked += delta.lines_diff_checked;
   pipe_rt_delta_.lines_dirty_found += delta.lines_dirty_found;
   pipe_rt_delta_.device_calls += delta.device_calls;
   pipe_rt_delta_.sync_batches += delta.sync_batches;
@@ -777,7 +664,6 @@ RuntimeStats PaxRuntime::stats() const {
     // directly — sync_mu_ is off-limits to it).
     std::lock_guard plock(pipe_mu_);
     out.pages_diffed += pipe_rt_delta_.pages_diffed;
-    out.lines_diff_checked += pipe_rt_delta_.lines_diff_checked;
     out.lines_dirty_found += pipe_rt_delta_.lines_dirty_found;
     out.device_calls += pipe_rt_delta_.device_calls;
     out.sync_batches += pipe_rt_delta_.sync_batches;

@@ -11,10 +11,12 @@
 // The application mutates the region with plain loads and stores. The
 // first store to a page is recorded once per epoch (the RdOwn-equivalent);
 // persist() takes the written pages (re-arming them), diffs them against
-// the device's copy at cache-line granularity, undo-logs and writes back
-// exactly the changed lines, and commits the epoch cell. After a crash,
-// map_pool() rolls the pool back to the last persist() — the application
-// cannot observe a partially applied epoch.
+// the device's copy at cache-line granularity — only the lines whose
+// per-line digest changed, or the whole page when none did or its digests
+// are not seeded yet — and hands exactly the changed lines to the device in
+// batched sync_lines calls (undo log + write-back), then commits the epoch
+// cell. After a crash, map_pool() rolls the pool back to the last
+// persist() — the application cannot observe a partially applied epoch.
 //
 // Thread safety: many application threads may mutate the region; persist()
 // must be called while no thread is mutating (§3.5, the paper's contract).
@@ -23,6 +25,7 @@
 // (it only *adds* log/write-back progress; it never commits an epoch).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -59,20 +62,11 @@ struct RuntimeOptions {
   /// pool replicated from another node/runtime must present recovered raw
   /// pointers at the address the origin used (replication failover).
   std::uintptr_t vpm_base_hint = 0;
-  /// Max lines carried per batched device sync call. Dirty lines accumulate
-  /// into one buffer flushed through PaxDevice::sync_lines, which fuses
-  /// write_intent + writeback_line and appends a stripe group's undo records
-  /// under one log-mutex hold. 1 = the legacy per-line path (peek_line /
-  /// write_intent / writeback_line), bit-for-bit identical to pre-batching
-  /// behavior and kept as the reference the batched path is tested against.
-  std::size_t sync_batch_lines = 256;
-  /// Line-granular dirty tracking (vpm_region.hpp): per-line digests of the
-  /// last-synced contents let the diff skip lines whose digest still
-  /// matches without peeking the device shadow — persist cost then follows
-  /// lines written, not pages touched.
-  /// false keeps the diff (and every stat it reports) bit-for-bit on the
-  /// page-granular path.
-  bool track_lines = true;
+  /// Max lines carried per device sync call (not settable). Changed lines
+  /// accumulate into one buffer flushed through PaxDevice::sync_lines, which
+  /// fuses write_intent + writeback_line and appends a stripe group's undo
+  /// records under one log-mutex hold.
+  static constexpr std::size_t sync_batch_lines = 256;
   /// Pipelined epochs: persist_async() takes the written set (re-arming
   /// it) into an O(dirty-pages) snapshot and returns
   /// immediately; a background drain worker runs diff → sync_lines → seal →
@@ -95,23 +89,19 @@ struct RuntimeOptions {
 struct RuntimeStats {
   std::uint64_t persists = 0;
   std::uint64_t pages_diffed = 0;
-  std::uint64_t lines_diff_checked = 0;
   std::uint64_t lines_dirty_found = 0;
   std::uint64_t sync_steps = 0;
-  /// Device API invocations made by the sync path (peek/intent/writeback or
-  /// their batched equivalents). The legacy path costs 3 per dirty line;
-  /// batching amortizes to ~1 call per page of peeks + 1 per batch of syncs.
+  /// Device API invocations made by the sync path: one peek_lines per
+  /// diffed page plus one sync_lines per batch.
   std::uint64_t device_calls = 0;
-  /// Batched sync_lines flushes issued (0 on the legacy path).
+  /// sync_lines batches issued.
   std::uint64_t sync_batches = 0;
 };
 
 /// Where the sync path's line examinations went. lines_diffed counts lines
 /// memcmp'd against a fetched device shadow; lines_skipped counts lines the
-/// line tracker proved clean (digest match on a page with a mismatch) without
-/// touching the shadow; lines_synced counts lines actually pushed. Without
-/// track_lines, lines_skipped stays 0 and lines_diffed == the legacy
-/// lines_diff_checked.
+/// line digests proved clean (digest match on a page with a mismatch)
+/// without touching the shadow; lines_synced counts lines actually pushed.
 struct SyncStats {
   std::uint64_t pages_scanned = 0;
   std::uint64_t lines_diffed = 0;
@@ -262,23 +252,44 @@ class PaxRuntime {
   /// Seal/persist pull callback reading the live region.
   device::PaxDevice::PullFn region_pull() const;
 
-  /// Diffs the given pages line-by-line against the device view and pushes
-  /// changed lines into the device, on the calling thread: the legacy
-  /// per-line path when sync_batch_lines == 1, the batched path otherwise.
-  /// Returns the first error. Caller must hold sync_mu_.
+  using PageLines = std::array<LineData, kLinesPerPage>;
+  using PageCrcs = std::array<std::uint32_t, kLinesPerPage>;
+
+  /// Changed lines on their way to PaxDevice::sync_lines, and the stats the
+  /// diff counts into (the drain worker keeps its own, folded in on read).
+  struct SyncBatch {
+    SyncBatch(RuntimeStats& s, SyncStats& ss) : stats(s), sync(ss) {
+      lines.reserve(RuntimeOptions::sync_batch_lines);
+    }
+    std::vector<device::LineUpdate> lines;
+    RuntimeStats& stats;
+    SyncStats& sync;
+    // diff_page's per-page scratch, built once per sync rather than per page.
+    std::array<LineIndex, kLinesPerPage> compared;
+    PageLines shadow;
+  };
+
+  /// Diffs the given live pages against the device view on the calling
+  /// thread (TSan-safe line capture) and pushes the changed lines. Digest
+  /// writes trail the device: an unchanged line's digest advances at once,
+  /// a pushed line's (and a seeded page's valid flag) only after every
+  /// sync_lines call has succeeded. Returns the first error. Caller must
+  /// hold sync_mu_.
   Status sync_pages(const std::vector<PageIndex>& pages);
 
-  /// Pre-batching behavior, preserved verbatim: per line, peek_line →
-  /// memdiff → write_intent → writeback_line (3 device calls per dirty
-  /// line).
-  Status sync_pages_legacy(const std::vector<PageIndex>& pages);
+  /// The lines of `page` to compare against the device shadow, given the
+  /// CRCs of the bytes being synced: those whose digest mismatches, or all
+  /// of them when none does or the page's digests are not seeded.
+  std::uint64_t lines_to_compare(PageIndex page, const PageCrcs& crc) const;
 
-  /// Diffs `pages` with the TSan-safe line capture and flushes dirty lines
-  /// through PaxDevice::sync_lines in sync_batch_lines-sized batches. With
-  /// track_lines, a page whose digests are valid peeks only the lines whose
-  /// digest mismatches (all of them if none does, vpm_region.hpp);
-  /// otherwise the full page shadow is fetched and the digests (re)seeded.
-  Status sync_pages_batched(const std::vector<PageIndex>& pages);
+  /// Peeks the `want` lines of `page`, compares each with `cur`, and adds
+  /// the changed ones to `batch`, flushing it whenever it fills. Returns the
+  /// mask of lines pushed.
+  Result<std::uint64_t> diff_page(SyncBatch& batch, PageIndex page,
+                                  const PageLines& cur, std::uint64_t want);
+
+  /// One sync_lines call for the batched lines, if any.
+  Status flush(SyncBatch& batch);
 
   // --- Epoch pipeline (pipeline_depth > 0) --------------------------------
   //
@@ -292,10 +303,9 @@ class PaxRuntime {
 
   struct PipelinePageSnap {
     PageIndex page{0};
-    /// Lines to examine against the device shadow: the snapshot-vs-digest
-    /// mismatches (all lines when none mismatched or digests were invalid).
+    /// Lines to examine against the device shadow (lines_to_compare).
     std::uint64_t want = 0;
-    std::unique_ptr<std::byte[]> bytes;  // kPageSize copy, quiesced
+    std::unique_ptr<PageLines> lines;  // the page, copied while quiesced
   };
   struct PipelineJob {
     Epoch epoch = 0;
@@ -339,10 +349,6 @@ class PaxRuntime {
   mutable std::mutex sync_mu_;  // serializes sync_step/persist internals
   RuntimeStats stats_;
   SyncStats sync_stats_;
-
-  // Sync-path tuning, frozen at build() (validated there).
-  std::size_t sync_batch_lines_ = 1;
-  bool track_lines_ = true;
 
   // Epoch pipeline. All fields below pipe_mu_ are guarded by it; the drain
   // worker never takes sync_mu_ (see the lock-order note above).

@@ -34,17 +34,17 @@
 // up in the next take. put_back() returns pages to the written set after a
 // failed sync, so no dirty page is lost.
 //
-// Line-granular tracking (optional, `track_lines`): the region additionally
-// keeps a per-line 32-bit CRC32C digest of each line's last-synced
-// contents. The diff compares a taken page's lines whose digest mismatches
-// and skips the rest without touching the device shadow, so persist cost
-// follows lines written, not pages touched. A taken page with NO
-// mismatching digest is compared in full: something on it was written, and
-// a single changed line whose new contents collide with its digest is still
-// found exactly. A changed line is missed only when its digest collides AND
-// another line on the same page also changed — a 2^-32 per-line
-// false-clean window, the price of sub-page tracking without per-line
-// faults. `track_lines = false` keeps the region on the page-granular path.
+// Line digests (`track_lines`; PaxRuntime always creates its region with
+// them, the pagewal baseline without): the region additionally keeps a
+// per-line 32-bit CRC32C digest of each line's last-synced contents. The
+// diff compares a taken page's lines whose digest mismatches and skips the
+// rest without touching the device shadow, so persist cost follows lines
+// written, not pages touched. A taken page with NO mismatching digest is
+// compared in full: something on it was written, and a single changed line
+// whose new contents collide with its digest is still found exactly. A
+// changed line is missed only when its digest collides AND another line on
+// the same page also changed — a 2^-32 per-line false-clean window, the
+// price of sub-page tracking without per-line faults.
 #pragma once
 
 #include <atomic>

@@ -20,7 +20,6 @@ RuntimeOptions options(std::size_t depth = 2, std::size_t ring = 0) {
   RuntimeOptions o;
   o.log_size = 4 << 20;
   o.device.log_flush_batch_bytes = 0;
-  o.track_lines = true;
   o.pipeline_depth = depth;
   o.device.log_ring_slots = ring;
   return o;
@@ -67,6 +66,34 @@ TEST(EpochPipelineTest, SnapshotIsolatesEpochFromLaterMutations) {
   EXPECT_EQ(rt->committed_epoch(), 1u);
   EXPECT_EQ(rt->vpm_base()[8192], std::byte{1});
   EXPECT_EQ(rt->vpm_base()[12288], std::byte{0});
+}
+
+TEST(EpochPipelineTest, PageSyncedBeforeTheSnapshotSealsItsEpochValue) {
+  // A sync_step on an idle pipeline pushes page 3 and re-arms it, so the
+  // next snapshot does not hold the page although the device logged its
+  // line this epoch. The drain's seal must keep the pushed value, not read
+  // the live region, where the next epoch has already overwritten it.
+  auto pm = pmem::PmemDevice::create_in_memory(kPool);
+  constexpr std::size_t kSynced = 3 * kPageSize;
+  {
+    auto rt = PaxRuntime::attach(pm.get(), options()).value();
+    ASSERT_TRUE(rt->persist().ok());  // settle heap-format writes
+    rt->vpm_base()[kSynced] = std::byte{0x11};
+    rt->sync_step();
+    // A large epoch keeps the drain diffing while the store below lands.
+    for (std::size_t p = 16; p < 16 + 256; ++p) {
+      std::memset(rt->vpm_base() + p * kPageSize, 0x22, kPageSize);
+    }
+    auto sealed = rt->persist_async();
+    ASSERT_TRUE(sealed.ok());
+    rt->vpm_base()[kSynced] = std::byte{0x33};  // epoch 3, never persisted
+    ASSERT_TRUE(rt->wait_persisted(sealed.value()).ok());
+  }
+  pm->crash(pmem::CrashConfig::drop_all());
+  auto rt = PaxRuntime::attach(pm.get(), options()).value();
+  EXPECT_EQ(rt->committed_epoch(), 2u);
+  EXPECT_EQ(rt->vpm_base()[kSynced], std::byte{0x11});
+  EXPECT_EQ(rt->vpm_base()[16 * kPageSize], std::byte{0x22});
 }
 
 TEST(EpochPipelineTest, RevertedLineStillReachesTheDevice) {

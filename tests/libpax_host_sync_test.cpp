@@ -1,7 +1,8 @@
-// The batched host sync path: batched configs must persist the
-// exact state the legacy per-line path persists, with far fewer device
-// calls; plus the vPM region's coalesced re-protection and dirty-counter
-// early-out, and the prompt flusher shutdown.
+// The host sync path: a persist schedule that fills several sync_lines
+// batches per epoch must recover exactly the bytes it wrote, with one
+// device call per diffed page plus one per batch; plus the vPM region's
+// coalesced re-protection and dirty-counter early-out, and the prompt
+// flusher shutdown.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,111 +16,97 @@ namespace pax::libpax {
 namespace {
 
 constexpr std::size_t kPool = 16 << 20;
+constexpr std::size_t kSchedulePages = 24;
 
-RuntimeOptions legacy_opts() {
+RuntimeOptions opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
-  o.sync_batch_lines = 1;  // per-line peek/intent/writeback
   return o;
 }
 
-RuntimeOptions batched_opts() {
-  RuntimeOptions o;
-  o.log_size = 256 * 1024;
-  o.sync_batch_lines = 64;
-  return o;
+// Writes `len` bytes of `value` at `off` in both the region and its shadow.
+void write(PaxRuntime& rt, std::vector<std::byte>& shadow, std::size_t off,
+           int value, std::size_t len) {
+  std::memset(rt.vpm_base() + off, value, len);
+  std::memset(shadow.data() + off, value, len);
 }
 
-// Applies the same deterministic mutation/persist schedule to a runtime.
-void run_schedule(PaxRuntime& rt) {
+// A deterministic mutation/persist schedule. Each round rewrites 17 lines
+// on each of kSchedulePages pages (408 lines: more than one sync_lines
+// batch) and leaves the rest of each page alone. Returns the image of the
+// last committed round.
+std::vector<std::byte> run_schedule(PaxRuntime& rt) {
+  std::vector<std::byte> working(rt.vpm_base(),
+                                 rt.vpm_base() + rt.vpm_size());
+  std::vector<std::byte> committed = working;
   for (int round = 0; round < 4; ++round) {
-    for (std::size_t p = 1; p <= 20; ++p) {
-      // Partial-page writes: some lines per page change, some don't.
-      std::memset(rt.vpm_base() + p * kPageSize + (round * 256) % kPageSize,
-                  0x10 + round * 16 + static_cast<int>(p), 192);
+    for (std::size_t p = 1; p <= kSchedulePages; ++p) {
+      // Unaligned partial-page writes that move with the round.
+      const std::size_t in_page = (round * 1000 + p * 64) % 2048 + 5;
+      write(rt, working, p * kPageSize + in_page,
+            0x10 + round * 16 + static_cast<int>(p), 1024);
     }
     if (round % 2 == 0) {
-      ASSERT_TRUE(rt.persist().ok());
+      EXPECT_TRUE(rt.persist().ok());
     } else {
-      ASSERT_TRUE(rt.persist_async().ok());
-      ASSERT_TRUE(rt.complete_persist().ok());
+      EXPECT_TRUE(rt.persist_async().ok());
+      EXPECT_TRUE(rt.complete_persist().ok());
     }
+    committed = working;
   }
   // Leave uncommitted garbage behind; it must vanish at the crash.
-  std::memset(rt.vpm_base() + 21 * kPageSize, 0xee, 2 * kPageSize);
+  write(rt, working, (kSchedulePages + 1) * kPageSize, 0xee, 2 * kPageSize);
+  write(rt, working, 3 * kPageSize, 0xee, kPageSize);
   rt.sync_step();
+  return committed;
 }
 
-TEST(HostSyncEquivalenceTest, BatchedRecoversExactlyWhatLegacyRecovers) {
-  auto pm_a = pmem::PmemDevice::create_in_memory(kPool);
-  auto pm_b = pmem::PmemDevice::create_in_memory(kPool);
-  std::uint64_t dirty_legacy = 0, dirty_batched = 0;
+TEST(HostSyncEquivalenceTest, RecoversExactlyTheBytesTheScheduleWrote) {
+  auto pm = pmem::PmemDevice::create_in_memory(kPool);
+  std::vector<std::byte> committed;
   {
-    auto rt = PaxRuntime::attach(pm_a.get(), legacy_opts()).value();
-    run_schedule(*rt);
-    EXPECT_EQ(rt->stats().sync_batches, 0u);
-    dirty_legacy = rt->stats().lines_dirty_found;
+    auto rt = PaxRuntime::attach(pm.get(), opts()).value();
+    committed = run_schedule(*rt);
+    // Every round fills at least two batches.
+    EXPECT_GE(rt->stats().sync_batches, 8u);
+    EXPECT_EQ(rt->stats().lines_dirty_found, rt->sync_stats().lines_synced);
   }
-  {
-    auto rt = PaxRuntime::attach(pm_b.get(), batched_opts()).value();
-    run_schedule(*rt);
-    EXPECT_GT(rt->stats().sync_batches, 0u);
-    dirty_batched = rt->stats().lines_dirty_found;
-  }
-  EXPECT_EQ(dirty_legacy, dirty_batched);
 
-  pm_a->crash(pmem::CrashConfig::drop_all());
-  pm_b->crash(pmem::CrashConfig::drop_all());
-  auto rt_a = PaxRuntime::attach(pm_a.get(), legacy_opts()).value();
-  auto rt_b = PaxRuntime::attach(pm_b.get(), batched_opts()).value();
-  ASSERT_EQ(rt_a->committed_epoch(), rt_b->committed_epoch());
-  ASSERT_EQ(rt_a->vpm_size(), rt_b->vpm_size());
-  EXPECT_EQ(std::memcmp(rt_a->vpm_base(), rt_b->vpm_base(), rt_a->vpm_size()),
-            0);
+  pm->crash(pmem::CrashConfig::drop_all());
+  auto rt = PaxRuntime::attach(pm.get(), opts()).value();
+  ASSERT_EQ(rt->vpm_size(), committed.size());
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    ASSERT_EQ(rt->vpm_base()[i], committed[i])
+        << "page " << i / kPageSize << " byte " << i % kPageSize;
+  }
 }
 
 TEST(HostSyncEquivalenceTest, DeviceCallAccounting) {
-  // 8 fully-dirtied pages: the legacy path pays 3 device calls per dirty
-  // line (peek + intent + writeback); batching pays one peek per page and
-  // one sync per batch.
-  auto legacy = PaxRuntime::create_in_memory(kPool, legacy_opts()).value();
-  const RuntimeOptions bo = batched_opts();
-  auto batched = PaxRuntime::create_in_memory(kPool, bo).value();
+  // 8 fully-dirtied pages: one peek_lines per page and one sync_lines per
+  // full batch.
+  auto rt = PaxRuntime::create_in_memory(kPool, opts()).value();
+  ASSERT_TRUE(rt->persist().ok());  // settle heap-format writes
+  const RuntimeStats before = rt->stats();
 
-  for (auto* rt : {legacy.get(), batched.get()}) {
-    ASSERT_TRUE(rt->persist().ok());  // settle heap-format writes
+  for (std::size_t p = 1; p <= 8; ++p) {
+    std::memset(rt->vpm_base() + p * kPageSize, 0x5a, kPageSize);
   }
-  const RuntimeStats lb = legacy->stats();
-  const RuntimeStats bb = batched->stats();
+  ASSERT_TRUE(rt->persist().ok());
+  const RuntimeStats after = rt->stats();
 
-  for (auto* rt : {legacy.get(), batched.get()}) {
-    for (std::size_t p = 1; p <= 8; ++p) {
-      std::memset(rt->vpm_base() + p * kPageSize, 0x5a, kPageSize);
-    }
-    ASSERT_TRUE(rt->persist().ok());
-  }
-  const RuntimeStats ls = legacy->stats();
-  const RuntimeStats bs = batched->stats();
-
-  const std::uint64_t dirty = ls.lines_dirty_found - lb.lines_dirty_found;
+  const std::uint64_t dirty =
+      after.lines_dirty_found - before.lines_dirty_found;
   EXPECT_EQ(dirty, 8 * kLinesPerPage);
-  EXPECT_EQ(bs.lines_dirty_found - bb.lines_dirty_found, dirty);
-
-  // Legacy: one peek per checked line + two more calls per dirty line.
-  EXPECT_EQ(ls.device_calls - lb.device_calls,
-            (ls.lines_diff_checked - lb.lines_diff_checked) + 2 * dirty);
-  // Batched: one peek_lines per page + one sync_lines per full batch.
-  EXPECT_EQ(bs.sync_batches - bb.sync_batches,
-            dirty / bo.sync_batch_lines);
-  EXPECT_EQ(bs.device_calls - bb.device_calls,
-            (bs.pages_diffed - bb.pages_diffed) +
-                (bs.sync_batches - bb.sync_batches));
-  EXPECT_LT(bs.device_calls - bb.device_calls,
-            (ls.device_calls - lb.device_calls) / 10);
+  EXPECT_EQ(after.pages_diffed - before.pages_diffed, 8u);
+  EXPECT_EQ(after.sync_batches - before.sync_batches,
+            dirty / RuntimeOptions::sync_batch_lines);
+  EXPECT_EQ(after.device_calls - before.device_calls,
+            (after.pages_diffed - before.pages_diffed) +
+                (after.sync_batches - before.sync_batches));
 }
 
 TEST(HostSyncEquivalenceTest, SnapshotReadsAnyAlignment) {
-  auto rt = PaxRuntime::create_in_memory(kPool, batched_opts()).value();
+  auto rt = PaxRuntime::create_in_memory(kPool, opts()).value();
   for (std::size_t i = 0; i < 3 * kPageSize; ++i) {
     rt->vpm_base()[kPageSize + i] = static_cast<std::byte>((i * 7 + 1) & 0xff);
   }

@@ -1,10 +1,11 @@
-// Tests of the line-granular incremental diff (track_lines): the full-page
-// compare that covers a single-line digest collision, digest-driven
-// skipping, tracking state reset across crash/recovery, and stats
-// equivalence with tracking off.
+// Tests of the line-granular incremental diff (per-line digests): the
+// full-page compare that covers a single-line digest collision,
+// digest-driven skipping, tracking state reset across crash/recovery, and
+// a multi-epoch workload recovering exactly the bytes it wrote.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "pax/common/crc.hpp"
 #include "pax/libpax/runtime.hpp"
@@ -14,11 +15,9 @@ namespace {
 
 constexpr std::size_t kPool = 8 << 20;
 
-RuntimeOptions tracked_opts() {
+RuntimeOptions test_opts() {
   RuntimeOptions o;
   o.log_size = 2 << 20;
-  o.sync_batch_lines = 64;
-  o.track_lines = true;
   return o;
 }
 
@@ -35,7 +34,7 @@ TEST(IncrementalDiffTest, DigestCollisionFallsBackToMemcmp) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   constexpr std::size_t kPage = 3;
   {
-    auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+    auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
     std::memset(page_base(*rt, kPage), 0xA1, kCacheLineSize);
     ASSERT_TRUE(rt->persist().ok());  // seeds the page's digests
     ASSERT_TRUE(rt->region().line_digests_valid(PageIndex{kPage}));
@@ -59,13 +58,13 @@ TEST(IncrementalDiffTest, DigestCollisionFallsBackToMemcmp) {
     EXPECT_GE(after.lines_synced - before.lines_synced, 1u);
   }
   pm->crash(pmem::CrashConfig::drop_all());
-  auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
   EXPECT_EQ(page_base(*rt, kPage)[0], std::byte{0xB2});
 }
 
 TEST(IncrementalDiffTest, DigestMatchSkipsLinesWithoutTouchingShadow) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
-  auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
   constexpr std::size_t kPage = 5;
   std::memset(page_base(*rt, kPage), 0x11, kPageSize);
   ASSERT_TRUE(rt->persist().ok());
@@ -86,7 +85,7 @@ TEST(IncrementalDiffTest, DigestMatchSkipsLinesWithoutTouchingShadow) {
   // The one pushed line survives power loss.
   rt.reset();
   pm->crash(pmem::CrashConfig::drop_all());
-  rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  rt = PaxRuntime::attach(pm.get(), test_opts()).value();
   EXPECT_EQ(page_base(*rt, kPage)[0], std::byte{0x22});
   EXPECT_EQ(page_base(*rt, kPage)[1], std::byte{0x11});
 }
@@ -95,7 +94,7 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   constexpr std::size_t kPage = 7;
   {
-    auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+    auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
     std::memset(page_base(*rt, kPage), 0x33, kPageSize);
     ASSERT_TRUE(rt->persist().ok());
     ASSERT_TRUE(rt->region().line_digests_valid(PageIndex{kPage}));
@@ -104,7 +103,7 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   }
   pm->crash(pmem::CrashConfig::torn(0.5, 99));
 
-  auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
   // A fresh region: no page may carry digests or a written mark from the
   // previous life — the first diff of each page is a full rebuild.
   EXPECT_FALSE(rt->region().line_digests_valid(PageIndex{kPage}));
@@ -123,61 +122,60 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   // The rebuilt page's changed line was pushed and survives power loss.
   rt.reset();
   pm->crash(pmem::CrashConfig::drop_all());
-  rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  rt = PaxRuntime::attach(pm.get(), test_opts()).value();
   EXPECT_EQ(page_base(*rt, kPage)[0], std::byte{0x44});
   EXPECT_EQ(page_base(*rt, kPage)[1], std::byte{0x33});
 }
 
-TEST(IncrementalDiffTest, TrackingOffReproducesLegacyStatsExactly) {
-  // The same deterministic workload against tracking on and off; off must
-  // behave (and count) exactly like the page-granular path, and both must
-  // find the same dirty lines and recover the same state.
-  auto run = [](bool track, RuntimeStats* rstats, SyncStats* sstats,
-                std::vector<std::byte>* image) {
-    auto pm = pmem::PmemDevice::create_in_memory(kPool);
-    RuntimeOptions opts = tracked_opts();
-    opts.track_lines = track;
-    int last = 0;
-    {
-      auto rt = PaxRuntime::attach(pm.get(), opts).value();
-      for (int epoch = 0; epoch < 3; ++epoch) {
-        last = 0x50 + epoch;
-        for (std::size_t p = 1; p <= 6; ++p) {
-          for (std::size_t l = 0; l < 4; ++l) {
-            page_base(*rt, p)[l * kCacheLineSize] =
-                static_cast<std::byte>(last);
-          }
+TEST(IncrementalDiffTest, SparseEpochsDiffOnlyWrittenLinesAndRecoverThem) {
+  // Four lines on each of six pages, rewritten every epoch. The first diff
+  // of each page compares all of it and seeds its digests; every later one
+  // compares exactly the four written lines. Recovery must return the bytes
+  // the last epoch wrote.
+  constexpr std::size_t kPages = 6;
+  constexpr std::size_t kLines = 4;
+  constexpr int kEpochs = 3;
+  auto pm = pmem::PmemDevice::create_in_memory(kPool);
+  std::vector<std::byte> shadow;
+  {
+    auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
+    ASSERT_TRUE(rt->persist().ok());  // settle heap-format writes
+    shadow.assign(rt->vpm_base(), rt->vpm_base() + rt->vpm_size());
+    const SyncStats base = rt->sync_stats();
+    SyncStats prev = base;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      for (std::size_t p = 1; p <= kPages; ++p) {
+        for (std::size_t l = 0; l < kLines; ++l) {
+          const std::size_t off = p * kPageSize + l * kCacheLineSize + 7;
+          const auto value = static_cast<std::byte>(0x50 + epoch * 8 + p);
+          rt->vpm_base()[off] = value;
+          shadow[off] = value;
         }
-        ASSERT_TRUE(rt->persist().ok());
       }
-      *rstats = rt->stats();
-      *sstats = rt->sync_stats();
+      ASSERT_TRUE(rt->persist().ok());
+      const SyncStats now = rt->sync_stats();
+      EXPECT_EQ(now.pages_scanned - prev.pages_scanned, kPages);
+      EXPECT_EQ(now.lines_synced - prev.lines_synced, kPages * kLines);
+      EXPECT_EQ(now.lines_diffed - prev.lines_diffed,
+                kPages * (epoch == 0 ? kLinesPerPage : kLines))
+          << "epoch " << epoch;
+      EXPECT_EQ(now.digest_rebuilds - prev.digest_rebuilds,
+                epoch == 0 ? kPages : 0u);
+      prev = now;
     }
-    pm->crash(pmem::CrashConfig::drop_all());
-    auto rt = PaxRuntime::attach(pm.get(), opts).value();
-    image->assign(rt->vpm_base() + kPageSize, rt->vpm_base() + 7 * kPageSize);
-  };
-
-  RuntimeStats on_r{}, off_r{};
-  SyncStats on_s{}, off_s{};
-  std::vector<std::byte> on_image, off_image;
-  run(true, &on_r, &on_s, &on_image);
-  run(false, &off_r, &off_s, &off_image);
-
-  // Tracking off: no skips, every scanned page is a full 64-line compare —
-  // the PR 2 accounting, untouched.
-  EXPECT_EQ(off_s.lines_skipped, 0u);
-  EXPECT_EQ(off_s.digest_rebuilds, 0u);
-  EXPECT_EQ(off_s.lines_diffed, off_s.pages_scanned * kLinesPerPage);
-  EXPECT_EQ(off_r.lines_diff_checked,
-            off_r.pages_diffed * kLinesPerPage);
-
-  // Both modes push the same lines and recover the same bytes.
-  EXPECT_EQ(on_r.lines_dirty_found, off_r.lines_dirty_found);
-  EXPECT_EQ(on_r.persists, off_r.persists);
-  EXPECT_EQ(on_s.lines_synced, off_s.lines_synced);
-  EXPECT_LT(on_s.lines_diffed, off_s.lines_diffed);  // tracking earns skips
-  EXPECT_EQ(on_image, off_image);
+    // Every scanned line is either compared or skipped, exactly once.
+    EXPECT_EQ((prev.lines_diffed - base.lines_diffed) +
+                  (prev.lines_skipped - base.lines_skipped),
+              (prev.pages_scanned - base.pages_scanned) * kLinesPerPage);
+    EXPECT_EQ(rt->stats().lines_dirty_found, prev.lines_synced);
+  }
+  pm->crash(pmem::CrashConfig::drop_all());
+  auto rt = PaxRuntime::attach(pm.get(), test_opts()).value();
+  ASSERT_EQ(rt->vpm_size(), shadow.size());
+  for (std::size_t i = 0; i < shadow.size(); ++i) {
+    ASSERT_EQ(rt->vpm_base()[i], shadow[i])
+        << "page " << i / kPageSize << " byte " << i % kPageSize;
+  }
 }
 
 }  // namespace

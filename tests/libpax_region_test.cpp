@@ -274,7 +274,6 @@ TEST(TakeContractTest, FailedSyncPutsItsPagesBack) {
 TEST(TakeContractTest, PageWithNoMismatchingDigestIsComparedInFull) {
   RuntimeOptions o;
   o.log_size = 2 << 20;
-  o.track_lines = true;
   auto rt = PaxRuntime::create_in_memory(8 << 20, o).value();
   constexpr std::size_t kPage = 9;
   std::byte* page = rt->vpm_base() + kPage * kPageSize;

@@ -113,13 +113,14 @@ TEST(PaxRuntimeTest, UntouchedLinesInDirtyPageNotLogged) {
   auto rt = PaxRuntime::create_in_memory(kPool).value();
   ASSERT_TRUE(rt->persist().ok());
   const auto base_logs = rt->device().stats().first_touch_logs;
-  const auto base_checked = rt->stats().lines_diff_checked;
+  const auto base_diffed = rt->sync_stats().lines_diffed;
 
   rt->vpm_base()[2 * kPageSize] = std::byte{1};          // line 0 of page 2
   rt->vpm_base()[2 * kPageSize + 3000] = std::byte{1};   // line 46
   ASSERT_TRUE(rt->persist().ok());
   EXPECT_EQ(rt->device().stats().first_touch_logs - base_logs, 2u);
-  EXPECT_EQ(rt->stats().lines_diff_checked - base_checked, kLinesPerPage);
+  // The page's first diff compares all of it (and seeds its digests).
+  EXPECT_EQ(rt->sync_stats().lines_diffed - base_diffed, kLinesPerPage);
 }
 
 TEST(PaxRuntimeTest, SecondEpochRelogsSameLine) {

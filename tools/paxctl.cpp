@@ -310,7 +310,6 @@ int cmd_synctest(std::size_t pages, std::size_t lines_per_page) {
     return 2;
   }
   libpax::RuntimeOptions opts;
-  opts.track_lines = true;
   const std::size_t pool_size = 16 << 20;
   auto rt = libpax::PaxRuntime::create_in_memory(pool_size, opts);
   if (!rt.ok()) {
@@ -378,7 +377,6 @@ int cmd_check(std::size_t pages, int epochs) {
 
   libpax::RuntimeOptions opts;
   opts.log_size = 4 << 20;
-  opts.track_lines = true;
   {
     auto rt = libpax::PaxRuntime::attach(pm.get(), opts);
     if (!rt.ok()) {
@@ -447,7 +445,6 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
                             check::CrashOracle& oracle) -> Status {
     libpax::RuntimeOptions opts;
     opts.log_size = 256 << 10;
-    opts.track_lines = true;
     opts.vpm_base_hint = 0x7d00'0000'0000ULL;  // byte-identical snapshots
     if (pipelined) {
       opts.pipeline_depth = 1;
