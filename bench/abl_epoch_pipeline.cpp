@@ -1,12 +1,11 @@
-// Ablation — pipelined epochs + lock-free undo-append ring.
+// Ablation — pipelined epochs.
 //
 // PR "pipelined epochs": persist() used to block the mutator for the whole
 // diff → sync_lines → undo-durable → seal → commit chain. With
 // pipeline_depth > 0, persist_async() swaps the dirty set into an
 // O(dirty-pages) snapshot, re-arms write protection, and returns; a
 // background drain worker runs the chain while the mutator builds epoch
-// N+1. log_ring_slots > 0 additionally moves the hot-path undo appends off
-// the log mutex onto a pre-framed MPMC ring.
+// N+1.
 //
 // The workload dirties kDirtyPages pages at 12.5% line density (8 of 64
 // lines per page — the regime where line tracking pays and the drain has
@@ -18,8 +17,9 @@
 // drain worker actually gets the CPU during it — the same overlap real
 // application work gives it on a multi-core host. The final wait for
 // still-queued drains is reported separately (tail_wait_us): it is a
-// shutdown barrier, not a per-epoch mutation stall. Four configs cross
-// {blocking, pipelined} x {log mutex, log ring}.
+// shutdown barrier, not a per-epoch mutation stall. Two configs: blocking
+// and pipelined, both on the device's one (mutex-serialized) undo-append
+// path.
 //
 // Results land in BENCH_epoch_pipeline.json (cwd) for the driver;
 // scripts/check_epoch_pipeline.py asserts the acceptance thresholds.
@@ -46,19 +46,16 @@ constexpr auto kThinkTime = std::chrono::milliseconds(15);
 
 struct Row {
   bool pipelined;
-  bool ring;
   double stall_us_per_persist;
   double tail_wait_us;
   double queue_occupancy_mean;  // 0 for blocking rows
   std::uint64_t queue_occupancy_max;
   std::uint64_t log_append_acquisitions;
-  std::uint64_t log_ring_appends;
   bool correct;
 };
 
 const char* mode_name(const Row& r) {
-  if (r.pipelined) return r.ring ? "pipelined+ring" : "pipelined+mutex";
-  return r.ring ? "blocking+ring" : "blocking+mutex";
+  return r.pipelined ? "pipelined" : "blocking";
 }
 
 void dirty_epoch(std::byte* base, int epoch_byte) {
@@ -71,7 +68,7 @@ void dirty_epoch(std::byte* base, int epoch_byte) {
   }
 }
 
-Row run(bool pipelined, bool ring) {
+Row run(bool pipelined) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
 
   RuntimeOptions opts;
@@ -79,13 +76,12 @@ Row run(bool pipelined, bool ring) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.pipeline_depth = pipelined ? 2 : 0;
-  opts.device.log_ring_slots = ring ? 512 : 0;
 
   double stall_us = 0, tail_us = 0;
   int last_epoch_byte = 0;
   Epoch last_sealed = 0;
   PipelineStats ps{};
-  std::uint64_t log_acq = 0, ring_appends = 0;
+  std::uint64_t log_acq = 0;
   {
     auto rt = PaxRuntime::attach(pm.get(), opts).value();
     if (!rt->persist().ok()) std::abort();  // settle heap-format writes
@@ -127,7 +123,6 @@ Row run(bool pipelined, bool ring) {
     const auto ds = rt->device().stats();
     const PipelineStats p = rt->pipeline_stats();
     log_acq = ds.log_append_acquisitions - dev_base.log_append_acquisitions;
-    ring_appends = ds.log_ring_appends - dev_base.log_ring_appends;
     ps.async_persists = p.async_persists - ps_base.async_persists;
     ps.queue_occupancy_sum =
         p.queue_occupancy_sum - ps_base.queue_occupancy_sum;
@@ -151,7 +146,6 @@ Row run(bool pipelined, bool ring) {
 
   Row r;
   r.pipelined = pipelined;
-  r.ring = ring;
   r.stall_us_per_persist = stall_us / kEpochs;
   r.tail_wait_us = tail_us;
   r.queue_occupancy_mean =
@@ -161,7 +155,6 @@ Row run(bool pipelined, bool ring) {
                 static_cast<double>(ps.async_persists);
   r.queue_occupancy_max = ps.queue_occupancy_max;
   r.log_append_acquisitions = log_acq;
-  r.log_ring_appends = ring_appends;
   r.correct = correct;
   return r;
 }
@@ -174,38 +167,30 @@ int main() {
   std::printf(
       "host cpus: %u, dirty pages/epoch: %zu at %zu/%zu lines (12.5%%)\n",
       cpus, kDirtyPages, kLinesPerDirtyPage, kLinesPerPage);
-  std::printf("%16s %14s %10s %10s %9s %12s %12s %8s\n", "mode",
-              "stall[us]", "tail[us]", "occ mean", "occ max", "log acq",
-              "ring appends", "correct");
+  std::printf("%12s %14s %10s %10s %9s %12s %8s\n", "mode", "stall[us]",
+              "tail[us]", "occ mean", "occ max", "log acq", "correct");
 
   std::vector<Row> rows;
   for (bool pipelined : {false, true}) {
-    for (bool ring : {false, true}) {
-      Row r = run(pipelined, ring);
-      rows.push_back(r);
-      std::printf("%16s %14.1f %10.1f %10.2f %9" PRIu64 " %12" PRIu64
-                  " %12" PRIu64 " %8s\n",
-                  mode_name(r), r.stall_us_per_persist, r.tail_wait_us,
-                  r.queue_occupancy_mean, r.queue_occupancy_max,
-                  r.log_append_acquisitions, r.log_ring_appends,
-                  r.correct ? "yes" : "NO");
-      std::fflush(stdout);
-    }
+    Row r = run(pipelined);
+    rows.push_back(r);
+    std::printf("%12s %14.1f %10.1f %10.2f %9" PRIu64 " %12" PRIu64 " %8s\n",
+                mode_name(r), r.stall_us_per_persist, r.tail_wait_us,
+                r.queue_occupancy_mean, r.queue_occupancy_max,
+                r.log_append_acquisitions, r.correct ? "yes" : "NO");
+    std::fflush(stdout);
   }
 
-  // Headlines the acceptance criteria read off directly: the full PR
-  // (pipelined + ring) against the pre-PR baseline (blocking + mutex).
-  const Row& base = rows[0];      // blocking+mutex
-  const Row& full = rows[3];      // pipelined+ring
+  // The headline the perf guard reads: pipelined against blocking.
+  const Row& base = rows[0];  // blocking
+  const Row& full = rows[1];  // pipelined
   const double ratio = base.stall_us_per_persist > 0
                            ? full.stall_us_per_persist /
                                  base.stall_us_per_persist
                            : 1.0;
-  std::printf("\nmutation stall: %.1f us (blocking+mutex) -> %.1f us "
-              "(pipelined+ring), ratio %.3f\n",
+  std::printf("\nmutation stall: %.1f us (blocking) -> %.1f us "
+              "(pipelined), ratio %.3f\n",
               base.stall_us_per_persist, full.stall_us_per_persist, ratio);
-  std::printf("log-mutex acquisitions on the ring path: %" PRIu64 "\n",
-              full.log_append_acquisitions);
 
   std::FILE* out = std::fopen("BENCH_epoch_pipeline.json", "w");
   if (out == nullptr) {
@@ -218,27 +203,23 @@ int main() {
   std::fprintf(out, "  \"lines_per_dirty_page\": %zu,\n",
                kLinesPerDirtyPage);
   std::fprintf(out, "  \"epochs\": %d,\n", kEpochs);
-  std::fprintf(out, "  \"stall_ratio_pipelined_ring_vs_blocking\": %.4f,\n",
+  std::fprintf(out, "  \"stall_ratio_pipelined_vs_blocking\": %.4f,\n",
                ratio);
-  std::fprintf(out, "  \"ring_log_append_acquisitions\": %" PRIu64 ",\n",
-               full.log_append_acquisitions);
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"pipelined\": %s, \"ring\": %s, "
+                 "    {\"mode\": \"%s\", \"pipelined\": %s, "
                  "\"stall_us_per_persist\": %.2f, "
                  "\"tail_wait_us\": %.2f, "
                  "\"queue_occupancy_mean\": %.3f, "
                  "\"queue_occupancy_max\": %" PRIu64 ", "
                  "\"log_append_acquisitions\": %" PRIu64 ", "
-                 "\"log_ring_appends\": %" PRIu64 ", \"correct\": %s}%s\n",
+                 "\"correct\": %s}%s\n",
                  mode_name(r), r.pipelined ? "true" : "false",
-                 r.ring ? "true" : "false", r.stall_us_per_persist,
-                 r.tail_wait_us,
+                 r.stall_us_per_persist, r.tail_wait_us,
                  r.queue_occupancy_mean, r.queue_occupancy_max,
-                 r.log_append_acquisitions, r.log_ring_appends,
-                 r.correct ? "true" : "false",
+                 r.log_append_acquisitions, r.correct ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -4,14 +4,11 @@
 Reads BENCH_epoch_pipeline.json (written by bench/abl_epoch_pipeline)
 and enforces:
 
-  * stall_ratio_pipelined_ring_vs_blocking <= 0.5 — at 12.5% dirty-line
+  * stall_ratio_pipelined_vs_blocking <= 0.5 — at 12.5% dirty-line
     density, pipelined mutation stall per persist must be at most half the
-    blocking path's (>= 2x reduction).
-  * ring_log_append_acquisitions == 0 — the lock-free undo-append ring must
-    fully replace the log mutex on its hot path.
-  * the ring rows actually staged records through the ring
-    (log_ring_appends > 0), so the zero above means "ring used", not
-    "nothing logged".
+    blocking path's (>= 2x reduction). The ratio is wall-clock time, so run
+    the bench from an optimised build: under a sanitizer the ratio mostly
+    measures instrumentation cost.
   * every config row recovered the expected state (correct == true).
 
 Usage: check_epoch_pipeline.py [path/to/BENCH_epoch_pipeline.json]
@@ -30,24 +27,14 @@ def main() -> int:
 
     failures = []
 
-    ratio = bench["stall_ratio_pipelined_ring_vs_blocking"]
+    ratio = bench["stall_ratio_pipelined_vs_blocking"]
     if ratio > MAX_STALL_RATIO:
         failures.append(
             f"pipelined/blocking mutation-stall ratio is {ratio:.3f} "
             f"(limit {MAX_STALL_RATIO})"
         )
 
-    acq = bench["ring_log_append_acquisitions"]
-    if acq != 0:
-        failures.append(
-            f"ring path took the log-append mutex {acq} time(s) (must be 0)"
-        )
-
     for r in bench["rows"]:
-        if r["ring"] and r["log_ring_appends"] == 0:
-            failures.append(f"row {r['mode']}: ring enabled but never used")
-        if not r["ring"] and r["log_ring_appends"] != 0:
-            failures.append(f"row {r['mode']}: ring used despite mutex mode")
         if not r["correct"]:
             failures.append(f"row {r['mode']} recovered wrong state")
 
@@ -60,7 +47,6 @@ def main() -> int:
     print(
         f"{path}: perf guard ok "
         f"(stall ratio {ratio:.3f} <= {MAX_STALL_RATIO}, "
-        f"ring log-mutex acquisitions 0, "
         f"{len(bench['rows'])} rows correct)"
     )
     return 0

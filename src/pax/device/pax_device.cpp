@@ -1,6 +1,8 @@
 #include "pax/device/pax_device.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <thread>
 
 #include "pax/common/check.hpp"
@@ -54,10 +56,32 @@ PaxDevice::PaxDevice(pmem::PmemPool* pool, const DeviceConfig& config)
       std::make_unique<UndoLogger>(pm_, pool->log_offset(), half);
   loggers_[1] = std::make_unique<UndoLogger>(
       pm_, pool->log_offset() + half, pool->log_size() - half);
-  if (config.log_ring_slots > 0) {
-    loggers_[0]->enable_ring(config.log_ring_slots);
-    loggers_[1]->enable_ring(config.log_ring_slots);
+
+  // Undo tokens (pack_token) hold a frame end in 40 bits and an entry's
+  // distance from it in 23; frames hold u32 line indices.
+  PAX_CHECK_MSG(pool->log_size() - half <= kEndMask, "log bank too large");
+  static_assert(wal::record_frame_size(UndoLogger::kMaxFrameEntries *
+                                       wal::kLineUndoEntrySize) <
+                (1ull << (63 - kBackShift)));
+  PAX_CHECK_MSG((pool->data_offset() + pool->data_size()) / kCacheLineSize <=
+                    UINT32_MAX + 1ull,
+                "data extent too large for u32 undo line indices");
+}
+
+Status PaxDevice::log_first_touch(
+    Stripe& s, std::span<const std::pair<LineIndex, LineData>> items,
+    std::span<UndoEntryRef> refs) {
+  {
+    auto log_lock = lock_log();
+    log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    PAX_RETURN_IF_ERROR(
+        loggers_[active_bank_]->log_lines(epoch_, items, refs));
   }
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    s.epoch_logged.emplace(items[k].first, pack_token(active_bank_, refs[k]));
+  }
+  s.stats.first_touch_logs += items.size();
+  return Status::ok();
 }
 
 void PaxDevice::check_line_in_data_extent(LineIndex line) const {
@@ -147,7 +171,7 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
   // Scratch reused across stripe groups.
   std::vector<std::size_t> group;                          // update indices
   std::vector<std::pair<LineIndex, LineData>> first_touch;  // pre-images
-  std::vector<std::uint64_t> record_ends;
+  std::vector<UndoEntryRef> refs;
 
   // Serves one stripe group; caller holds s.mu.
   const auto sync_group = [&](Stripe& s, std::size_t stripe,
@@ -169,33 +193,17 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
       }
     }
 
+    // One frame (one log-mutex hold) covers the whole group's pre-images.
     if (!first_touch.empty()) {
-      record_ends.clear();
-      if (loggers_[active_bank_]->ring_enabled()) {
-        // Lock-free hot path: one fetch_add reservation covers the group;
-        // the log mutex is never taken on the append path.
-        PAX_RETURN_IF_ERROR(loggers_[active_bank_]->ring_append_batch(
-            epoch_, first_touch, &record_ends));
-      } else {
-        // One log-mutex acquisition covers the whole group's undo records.
-        auto log_lock = lock_log();
-        log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-        PAX_RETURN_IF_ERROR(
-            loggers_[active_bank_]->log_lines(epoch_, first_touch,
-                                              &record_ends));
-      }
-      for (std::size_t k = 0; k < first_touch.size(); ++k) {
-        s.epoch_logged.emplace(first_touch[k].first,
-                               pack_record(active_bank_, record_ends[k]));
-      }
-      s.stats.first_touch_logs += first_touch.size();
+      refs.resize(first_touch.size());
+      PAX_RETURN_IF_ERROR(log_first_touch(s, first_touch, refs));
     }
 
-    // Buffer every update's new data, gated on its (now recorded) token.
+    // Buffer every update's new data, gated on its frame's end.
     for (std::size_t j : group) {
       const LineUpdate& u = updates[j];
       auto victim = s.hbm.insert(u.line, u.data, /*dirty=*/true,
-                                 s.epoch_logged.at(u.line),
+                                 gate_of(s.epoch_logged.at(u.line)),
                                  loggers_[active_bank_]->durable());
       evict_victim(s, victim);
     }
@@ -255,44 +263,28 @@ Status PaxDevice::write_intent(LineIndex line) {
   // epoch-boundary value — everything from prior epochs was either written
   // back and committed, or (with an epoch sealed for async commit) captured
   // into the device at seal time.
-  const LineData old_data = device_view(s, line);
-  std::uint64_t end;
-  if (loggers_[active_bank_]->ring_enabled()) {
-    auto appended = loggers_[active_bank_]->ring_append(epoch_, line, old_data);
-    if (!appended.ok()) return appended.status();
-    end = appended.value();
-  } else {
-    auto log_lock = lock_log();
-    log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    auto appended = loggers_[active_bank_]->log_line(epoch_, line, old_data);
-    if (!appended.ok()) return appended.status();
-    end = appended.value();
-  }
-
-  ++s.stats.first_touch_logs;
-  s.epoch_logged.emplace(line, pack_record(active_bank_, end));
-  return Status::ok();
+  const std::pair<LineIndex, LineData> item{line, device_view(s, line)};
+  UndoEntryRef ref;
+  return log_first_touch(s, std::span(&item, 1), std::span(&ref, 1));
 }
 
 LineData PaxDevice::undo_preimage(LineIndex line,
-                                  std::uint64_t packed) const {
-  // The pre-image lives in the log at [end - frame, end); frames for line
-  // undo records have a fixed size.
-  constexpr std::size_t kFrame =
-      wal::record_frame_size(sizeof(wal::LineUndoPayload));
-  const unsigned bank = (packed & kBankBit) ? 1 : 0;
-  const std::uint64_t end = packed & ~kBankBit;
-  PAX_CHECK(end >= kFrame);
+                                  std::uint64_t token) const {
+  // The entry sits `back` bytes before its frame's end.
+  const unsigned bank = (token & kBankBit) ? 1 : 0;
+  const std::uint64_t end = token & kEndMask;
+  const std::uint64_t back = (token & ~kBankBit) >> kBackShift;
+  PAX_CHECK(back >= wal::kLineUndoEntrySize && end >= back);
   const PoolOffset extent_base =
       bank == 0 ? pool_->log_offset()
                 : pool_->log_offset() +
                       ((pool_->log_size() / 2) & ~(kCacheLineSize - 1));
-  wal::LineUndoPayload payload{};
-  pm_->load(extent_base + end - kFrame + sizeof(wal::RecordHeader),
-            std::as_writable_bytes(std::span(&payload, 1)));
-  PAX_CHECK_MSG(payload.line_index == line.value,
-                "undo record offset bookkeeping corrupted");
-  return payload.old_data;
+  std::array<std::byte, wal::kLineUndoEntrySize> bytes;
+  pm_->load(extent_base + end - back, bytes);
+  const wal::LineUndoEntry entry = wal::decode_line_undo_entry(bytes);
+  PAX_CHECK_MSG(entry.line_index == line.value,
+                "undo entry offset bookkeeping corrupted");
+  return entry.old_data;
 }
 
 LineData PaxDevice::committed_view(Stripe& s, LineIndex line) {
@@ -349,26 +341,14 @@ Status PaxDevice::mem_write(LineIndex line, const LineData& data) {
   if (it == s.epoch_logged.end()) {
     // First MemWr for this line this epoch: the device view still holds the
     // epoch-boundary value (the incoming data is not yet applied).
-    const LineData old_data = device_view(s, line);
-    std::uint64_t end;
-    if (loggers_[active_bank_]->ring_enabled()) {
-      auto appended =
-          loggers_[active_bank_]->ring_append(epoch_, line, old_data);
-      if (!appended.ok()) return appended.status();
-      end = appended.value();
-    } else {
-      auto log_lock = lock_log();
-      log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      auto appended =
-          loggers_[active_bank_]->log_line(epoch_, line, old_data);
-      if (!appended.ok()) return appended.status();
-      end = appended.value();
-    }
-    ++s.stats.first_touch_logs;
-    it = s.epoch_logged.emplace(line, pack_record(active_bank_, end)).first;
+    const std::pair<LineIndex, LineData> item{line, device_view(s, line)};
+    UndoEntryRef ref;
+    PAX_RETURN_IF_ERROR(
+        log_first_touch(s, std::span(&item, 1), std::span(&ref, 1)));
+    it = s.epoch_logged.find(line);
   }
 
-  auto victim = s.hbm.insert(line, data, /*dirty=*/true, it->second,
+  auto victim = s.hbm.insert(line, data, /*dirty=*/true, gate_of(it->second),
                              loggers_[active_bank_]->durable());
   evict_victim(s, victim);
   return Status::ok();
@@ -385,44 +365,44 @@ void PaxDevice::writeback_line(LineIndex line, const LineData& data) {
   // Under epoch overlap the host may also evict a line it modified only in
   // the sealed epoch (seal downgraded it to shared; a shared eviction
   // carries no data, but a dirty eviction can still race the seal). Accept
-  // a sealed-epoch record as ownership proof too.
-  std::uint64_t packed;
+  // a sealed-epoch entry as ownership proof too.
+  std::uint64_t token;
   if (it != s.epoch_logged.end()) {
-    packed = it->second;
+    token = it->second;
   } else {
     auto sealed_it = s.sealed_logged.find(line);
     PAX_CHECK_MSG(sealed_it != s.sealed_logged.end(),
                   "host wrote back a line it never took write ownership of");
-    packed = sealed_it->second;
+    token = sealed_it->second;
   }
 
-  auto victim = s.hbm.insert(line, data, /*dirty=*/true, packed,
+  auto victim = s.hbm.insert(line, data, /*dirty=*/true, gate_of(token),
                              loggers_[active_bank_]->durable());
   evict_victim(s, victim);
 }
 
 void PaxDevice::write_line_to_pm(Stripe& s, LineIndex line,
                                  const LineData& data,
-                                 std::uint64_t packed_record) {
+                                 std::uint64_t token) {
   // Core crash-consistency invariant: no new data reaches PM media before
-  // the undo record that can roll it back is durable.
-  PAX_CHECK_MSG(record_is_durable(packed_record),
-                "write-back attempted before undo record was durable");
+  // the whole undo frame that can roll it back is durable.
+  PAX_CHECK_MSG(record_is_durable(token),
+                "write-back attempted before undo frame was durable");
   // This path reached the media only because record_is_durable observed the
   // logger's watermark on this thread — record that gate for the offline
   // happens-before analysis.
-  note_writeback(line, packed_record, /*gate_observed=*/true);
+  note_writeback(line, token, /*gate_observed=*/true);
   pm_->store_line(line, data);
   pm_->flush_line(line);
   ++s.stats.pm_writeback_lines;
   s.hbm.mark_clean(line);
 }
 
-void PaxDevice::note_writeback(LineIndex line, std::uint64_t packed,
+void PaxDevice::note_writeback(LineIndex line, std::uint64_t token,
                                bool gate_observed) const {
   if (auto* chk = pm_->checker()) {
-    const unsigned bank = (packed & kBankBit) ? 1 : 0;
-    chk->on_writeback(line.value, loggers_[bank]->id(), packed & ~kBankBit,
+    const unsigned bank = (token & kBankBit) ? 1 : 0;
+    chk->on_writeback(line.value, loggers_[bank]->id(), token & kEndMask,
                       gate_observed);
   }
 }
@@ -620,8 +600,9 @@ Result<Epoch> PaxDevice::seal_epoch(const PullFn& pull) {
   fan_out(total_lines, [&](Stripe& s) {
     for (const auto& [line, packed] : s.epoch_logged) {
       if (std::optional<LineData> host_copy = pull_one(pull, line)) {
-        auto victim = s.hbm.insert(line, *host_copy, /*dirty=*/true, packed,
-                                   loggers_[active_bank_]->durable());
+        auto victim =
+            s.hbm.insert(line, *host_copy, /*dirty=*/true, gate_of(packed),
+                         loggers_[active_bank_]->durable());
         evict_victim(s, victim);
       }
     }
@@ -742,14 +723,11 @@ std::uint64_t PaxDevice::log_bytes_in_use() const {
 UndoLoggerStats PaxDevice::log_stats() const {
   auto log_lock = lock_log();
   UndoLoggerStats total = loggers_[0]->stats();
-  const UndoLoggerStats other = loggers_[1]->stats();
+  const UndoLoggerStats& other = loggers_[1]->stats();
   total.records += other.records;
+  total.frames += other.frames;
   total.bytes_staged += other.bytes_staged;
   total.flushes += other.flushes;
-  total.group_appends += other.group_appends;
-  total.ring_appends += other.ring_appends;
-  total.ring_full_stalls += other.ring_full_stalls;
-  total.ring_aborts += other.ring_aborts;
   return total;
 }
 
@@ -779,10 +757,6 @@ DeviceStats PaxDevice::stats() const {
       batch_synced_lines_.load(std::memory_order_relaxed);
   total.log_append_acquisitions =
       log_append_acquisitions_.load(std::memory_order_relaxed);
-  total.log_ring_appends =
-      loggers_[0]->ring_appends() + loggers_[1]->ring_appends();
-  total.log_ring_stalls =
-      loggers_[0]->ring_full_stalls() + loggers_[1]->ring_full_stalls();
   total.sync_deferred_groups =
       sync_deferred_groups_.load(std::memory_order_relaxed);
   return total;

@@ -18,7 +18,8 @@
 // use the fused equivalents instead: peek_lines() reads device views with
 // one stripe-mutex hold per stripe per call, and sync_lines() performs
 // write_intent + writeback_line for a whole batch — grouped by stripe, the
-// group's undo records appended under a single log-mutex acquisition.
+// group's pre-images appended as ONE undo frame (one header, one CRC) under
+// a single log-mutex acquisition.
 //
 // tick() runs the write-back coordinator: batch log flushes plus proactive
 // write-back of buffered dirty lines, which is what keeps the per-epoch
@@ -39,7 +40,7 @@
 // write-back, epoch-cell commit) off the critical path. Correctness under
 // overlap rests on the same gating invariant as everything else: a line's
 // newer (active-epoch) value may reach PM during the sealed commit, but only
-// after the active epoch's undo record for it is durable, so recovery always
+// after the active epoch's undo frame for it is durable, so recovery always
 // lands exactly on a committed snapshot. Recovery scans both banks and
 // applies uncommitted records newest-epoch-first.
 //
@@ -57,9 +58,10 @@
 //     bank, and the sealed flag only change under the exclusive side, so the
 //     data path reads them without further synchronization.
 //   * log_mu_: the two undo-log banks are inherently ordered append-only
-//     structures; records from all stripes are appended under this short
-//     log-only mutex. Durability gating never takes it — the loggers publish
-//     their staged/durable watermarks through atomics.
+//     structures; frames from all stripes are appended under this short
+//     log-only mutex — the one undo-append path. Durability gating never
+//     takes it — the loggers publish their staged/durable watermarks
+//     through atomics.
 //   * the PM device itself, which is internally line-sharded.
 //
 // LOCK ORDER (never acquire in the reverse direction):
@@ -123,11 +125,6 @@ struct DeviceConfig {
   /// Fan out only when the epoch modified at least this many lines; tiny
   /// epochs aren't worth the thread hand-off.
   std::size_t persist_fanout_min_lines = 64;
-  /// > 0 enables the lock-free undo-append ring (that many slots per log
-  /// bank, rounded up to a power of two): hot-path appends reserve
-  /// pre-framed ring slots with a fetch_add ticket instead of taking the
-  /// log mutex; the flusher drains the ring. 0 = mutex append path.
-  std::size_t log_ring_slots = 0;
 
   static DeviceConfig defaults() { return DeviceConfig{}; }
 };
@@ -154,7 +151,7 @@ struct DeviceStats {
   std::uint64_t read_hbm_hits = 0;
   std::uint64_t read_pm = 0;
   std::uint64_t write_intents = 0;        // RdOwn messages observed
-  std::uint64_t first_touch_logs = 0;     // undo records actually created
+  std::uint64_t first_touch_logs = 0;     // lines undo-logged
   std::uint64_t host_writebacks = 0;      // DirtyEvict messages observed
   std::uint64_t mem_writes = 0;           // CXL.mem MemWr messages observed
   std::uint64_t pm_writeback_lines = 0;   // lines written to PM media path
@@ -167,8 +164,6 @@ struct DeviceStats {
   std::uint64_t batch_syncs = 0;          // sync_lines() invocations
   std::uint64_t batch_synced_lines = 0;   // lines carried by those batches
   std::uint64_t log_append_acquisitions = 0;  // log-mutex holds for appends
-  std::uint64_t log_ring_appends = 0;     // records staged via the ring
-  std::uint64_t log_ring_stalls = 0;      // ring-full producer waits
   std::uint64_t sync_deferred_groups = 0; // sync_lines try-lock misses that
                                           // went to the overflow ring
 };
@@ -212,25 +207,23 @@ class PaxDevice {
   /// try-lock-first (a contended stripe is deferred to a per-call overflow
   /// ring and retried after every free stripe has been served, so workers
   /// don't park behind a peer mid-batch). Each group takes its stripe
-  /// mutex once, undo-logs all of its first-touch lines under a single
-  /// log-mutex acquisition (one framing pass, one backing store —
-  /// UndoLogger::log_lines) — or, with log_ring_slots > 0, via the
-  /// lock-free append ring with no log-mutex acquisition at all — then
-  /// buffers every update's data for write-back. Equivalent, line for
-  /// line, to calling write_intent(line)
-  /// followed by writeback_line(line, data) for each update, including all
-  /// stats except the per-call counters. kOutOfSpace fails a whole stripe
-  /// group atomically (no partial group is logged or buffered); groups
-  /// already applied stay applied, exactly like the per-line path failing
-  /// midway. Updates in one batch should name distinct lines — a duplicate
-  /// costs a redundant (harmless) undo record.
+  /// mutex once, undo-logs all of its first-touch lines as one frame under
+  /// a single log-mutex acquisition (UndoLogger::log_lines), then buffers
+  /// every update's data for write-back, gated on that frame's end.
+  /// Equivalent, line for line, to calling write_intent(line) followed by
+  /// writeback_line(line, data) for each update, including all stats except
+  /// the per-call counters and the log's frame count. kOutOfSpace fails a
+  /// whole stripe group atomically (no partial group is logged or
+  /// buffered); groups already applied stay applied, exactly like the
+  /// per-line path failing midway. Updates in one batch should name
+  /// distinct lines — a duplicate costs a redundant (harmless) undo entry.
   Status sync_lines(std::span<const LineUpdate> updates);
 
   /// Reads `line` as of the most recently *committed* snapshot, even while
   /// the current (and a sealed) epoch are mutating it — a consistent
   /// time-travel read, free because the undo log already holds every
   /// modified line's committed pre-image:
-  ///   * line logged in the sealed epoch → that record's pre-image is the
+  ///   * line logged in the sealed epoch → that entry's pre-image is the
   ///     last committed value;
   ///   * else logged in the active epoch → its pre-image was captured at
   ///     the last boundary (seal or commit), which equals the committed
@@ -350,7 +343,7 @@ class PaxDevice {
     mutable std::mutex mu;
     unsigned index = 0;  // position in stripes_; PaxCheck lock identity
     HbmCache hbm;
-    // line -> packed undo-record token, for every line logged this epoch.
+    // line -> undo token (pack_token), for every line logged this epoch.
     std::unordered_map<LineIndex, std::uint64_t> epoch_logged;
     // Sealed-but-uncommitted epoch (§6): this stripe's slice of its set.
     std::unordered_map<LineIndex, std::uint64_t> sealed_logged;
@@ -415,17 +408,33 @@ class PaxDevice {
                              device_id_, /*shared=*/false)};
   }
 
-  // Undo records are addressed as (bank, end-offset) packed into one u64:
-  // the bank index occupies the top bit. HbmCache carries these packed
-  // tokens opaquely.
+  // A logged line's undo token packs three fields into one u64: the log
+  // bank (top bit), the distance from the line's entry to its frame's end
+  // (bits 40..62) and the frame's end offset (bits 0..39). The write-back
+  // gate is bank + frame end (gate_of) — every line of a frame waits for
+  // the whole frame. The distance only locates the pre-image for snapshot
+  // reads (undo_preimage). HbmCache carries gates opaquely.
   static constexpr std::uint64_t kBankBit = 1ull << 63;
-  static std::uint64_t pack_record(unsigned bank, std::uint64_t end) {
-    return end | (bank ? kBankBit : 0);
+  static constexpr unsigned kBackShift = 40;
+  static constexpr std::uint64_t kEndMask = (1ull << kBackShift) - 1;
+  static std::uint64_t pack_token(unsigned bank, const UndoEntryRef& ref) {
+    return (bank ? kBankBit : 0) |
+           ((ref.frame_end - ref.entry_at) << kBackShift) | ref.frame_end;
   }
-  bool record_is_durable(std::uint64_t packed) const {
-    const unsigned bank = (packed & kBankBit) ? 1 : 0;
-    return (packed & ~kBankBit) <= loggers_[bank]->durable();
+  static std::uint64_t gate_of(std::uint64_t token) {
+    return token & (kBankBit | kEndMask);
   }
+  bool record_is_durable(std::uint64_t token) const {
+    const unsigned bank = (token & kBankBit) ? 1 : 0;
+    return (token & kEndMask) <= loggers_[bank]->durable();
+  }
+
+  // Undo-logs `items` as one frame in the active bank under the log mutex
+  // and records each line's token in `s` (caller holds s.mu). `refs` is
+  // scratch of items.size() entries.
+  Status log_first_touch(Stripe& s,
+                         std::span<const std::pair<LineIndex, LineData>> items,
+                         std::span<UndoEntryRef> refs);
 
   Stripe& stripe_for(LineIndex line) {
     return *stripes_[line.value & stripe_mask_];
@@ -435,22 +444,22 @@ class PaxDevice {
   }
 
   // Writes a data line to PM media and marks it clean in `s`'s buffer. The
-  // caller holds s.mu and must have ensured the line's undo record (if any
+  // caller holds s.mu and must have ensured the line's undo frame (if any
   // this epoch) is durable; checked here.
   void write_line_to_pm(Stripe& s, LineIndex line, const LineData& data,
-                        std::uint64_t packed_record);
+                        std::uint64_t token);
 
-  // Emits the PaxCheck write-back event for `line` gated on the undo record
-  // addressed by `packed` (no-op without an attached checker).
+  // Emits the PaxCheck write-back event for `line` gated on the undo frame
+  // `token` names (no-op without an attached checker).
   // `gate_observed`: the caller checked record_is_durable on this thread.
-  void note_writeback(LineIndex line, std::uint64_t packed,
+  void note_writeback(LineIndex line, std::uint64_t token,
                       bool gate_observed = false) const;
 
   // Handles the victim of an HbmCache::insert under s.mu: forces a log
-  // flush if the victim's record isn't durable yet, then writes it back.
+  // flush if the victim's frame isn't durable yet, then writes it back.
   void evict_victim(Stripe& s, const std::optional<EvictedLine>& victim);
 
-  // Flushes both log banks (all staged records become durable). Takes
+  // Flushes both log banks (all staged frames become durable). Takes
   // log_mu_; safe under any single stripe mutex.
   void flush_all_logs();
 
@@ -470,9 +479,9 @@ class PaxDevice {
   // holds s.mu (or owns the stripe via the exclusive epoch lock).
   LineData device_view(Stripe& s, LineIndex line);
 
-  // Reads the pre-image held by the undo record addressed by `packed`
-  // (validating it belongs to `line`).
-  LineData undo_preimage(LineIndex line, std::uint64_t packed) const;
+  // Reads the pre-image held by the undo entry `token` locates (validating
+  // it belongs to `line`).
+  LineData undo_preimage(LineIndex line, std::uint64_t token) const;
 
   // Last-committed-snapshot view of a line (read_committed_line without the
   // locking). Caller holds epoch_mu_ (shared suffices) and s.mu.

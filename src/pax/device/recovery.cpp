@@ -1,7 +1,6 @@
 #include "pax/device/recovery.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "pax/common/check.hpp"
@@ -23,7 +22,7 @@ Result<RecoveryReport> recover_pool(pmem::PmemPool& pool) {
   struct PendingUndo {
     Epoch epoch;
     std::uint64_t seq;  // append order within its bank
-    wal::LineUndoPayload payload;
+    wal::LineUndoEntry entry;
   };
   std::vector<PendingUndo> to_undo;
 
@@ -34,30 +33,34 @@ Result<RecoveryReport> recover_pool(pmem::PmemPool& pool) {
   };
 
   for (const auto& [bank_off, bank_size] : banks) {
+    // The reader stops at the first frame whose CRC fails: a torn frame is
+    // dropped whole, and none of its lines was written back (write-back is
+    // gated on the frame's end).
     wal::LogReader reader(pm, bank_off, bank_size);
     std::uint64_t seq = 0;
     while (auto rec = reader.next()) {
-      ++report.records_scanned;
-      if (rec->epoch <= report.recovered_epoch) {
-        ++report.stale_records;
-        continue;
-      }
-      if (rec->type != wal::RecordType::kLineUndo) {
+      ++report.frames_scanned;
+      const bool stale = rec->epoch <= report.recovered_epoch;
+      if (rec->type != wal::RecordType::kLineUndoFrame) {
+        if (stale) continue;  // e.g. left by an older log format
         return corruption("unexpected record type in device undo log");
       }
-      if (rec->payload.size() != sizeof(wal::LineUndoPayload)) {
-        return corruption("undo record payload size mismatch");
+      auto entries = wal::decode_line_undo_frame(rec->payload);
+      if (!entries.ok()) return entries.status();
+      report.records_scanned += entries.value().size();
+      if (stale) {
+        report.stale_records += entries.value().size();
+        continue;
       }
-      wal::LineUndoPayload payload;
-      std::memcpy(&payload, rec->payload.data(), sizeof(payload));
-
-      const PoolOffset off = payload.line_index * kCacheLineSize;
-      if (off < pool.data_offset() ||
-          off + kCacheLineSize > pool.data_offset() + pool.data_size()) {
-        return corruption(
-            "undo record references a line outside data extent");
+      for (const wal::LineUndoEntry& entry : entries.value()) {
+        const PoolOffset off = entry.line_index * kCacheLineSize;
+        if (off < pool.data_offset() ||
+            off + kCacheLineSize > pool.data_offset() + pool.data_size()) {
+          return corruption(
+              "undo entry references a line outside data extent");
+        }
+        to_undo.push_back({rec->epoch, seq++, entry});
       }
-      to_undo.push_back({rec->epoch, seq++, payload});
     }
   }
 
@@ -69,8 +72,8 @@ Result<RecoveryReport> recover_pool(pmem::PmemPool& pool) {
             });
 
   for (const auto& undo : to_undo) {
-    const LineIndex line{undo.payload.line_index};
-    pm->store_line(line, undo.payload.old_data);
+    const LineIndex line{undo.entry.line_index};
+    pm->store_line(line, undo.entry.old_data);
     pm->flush_line(line);
     ++report.records_applied;
     ++report.lines_restored;
@@ -78,8 +81,10 @@ Result<RecoveryReport> recover_pool(pmem::PmemPool& pool) {
   pm->drain();
 
   PAX_LOG_INFO(
-      "recovery: epoch %llu restored (%llu records scanned, %llu applied)",
+      "recovery: epoch %llu restored (%llu frames, %llu records scanned, "
+      "%llu applied)",
       static_cast<unsigned long long>(report.recovered_epoch),
+      static_cast<unsigned long long>(report.frames_scanned),
       static_cast<unsigned long long>(report.records_scanned),
       static_cast<unsigned long long>(report.records_applied));
   return report;

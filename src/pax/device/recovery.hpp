@@ -1,15 +1,16 @@
 // Crash recovery (§3.4).
 //
 // After a crash the pool's epoch cell names the newest durable snapshot.
-// Any undo record in the log extent tagged with a *later* epoch describes a
-// modification of the crashed, uncommitted epoch whose data line may have
-// reached PM (the device writes back freely during an epoch — §3.3); those
-// records are replayed, restoring each line's epoch-boundary pre-image.
-// Records of the committed epoch or older are stale leftovers from log-extent
-// reuse and are skipped. A torn record ends the scan: everything after it in
-// append order is guaranteed younger, and its data line cannot have been
-// written back (write-back is gated on record durability), so stopping is
-// safe. Recovery is idempotent — a crash during recovery just reruns it.
+// Any undo frame in the log extent tagged with a *later* epoch describes
+// modifications of the crashed, uncommitted epoch whose data lines may have
+// reached PM (the device writes back freely during an epoch — §3.3); its
+// entries are replayed, restoring each line's epoch-boundary pre-image.
+// Frames of the committed epoch or older are stale leftovers from
+// log-extent reuse and are skipped. A torn frame (CRC mismatch) ends the
+// scan and is dropped whole: everything after it in append order is
+// younger, and none of its lines can have been written back (write-back is
+// gated on the durability of the line's whole frame), so stopping is safe.
+// Recovery is idempotent — a crash during recovery just reruns it.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,10 @@ namespace pax::device {
 
 struct RecoveryReport {
   Epoch recovered_epoch = 0;       // snapshot the pool was restored to
-  std::uint64_t records_scanned = 0;
-  std::uint64_t records_applied = 0;  // undo records rolled back
-  std::uint64_t stale_records = 0;    // valid records from committed epochs
+  std::uint64_t frames_scanned = 0;   // well-formed undo frames
+  std::uint64_t records_scanned = 0;  // line-undo entries in those frames
+  std::uint64_t records_applied = 0;  // entries rolled back
+  std::uint64_t stale_records = 0;    // entries of committed epochs
   std::uint64_t lines_restored = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "pax/device/undo_logger.hpp"
 
-#include <span>
-#include <thread>
+#include <algorithm>
 
 #include "pax/check/checker.hpp"
 #include "pax/common/check.hpp"
@@ -9,176 +8,61 @@
 
 namespace pax::device {
 
-Result<std::uint64_t> UndoLogger::log_line(Epoch epoch, LineIndex line,
-                                           const LineData& old_data) {
-  wal::LineUndoPayload payload{};
-  payload.line_index = line.value;
-  payload.old_data = old_data;
-
-  auto end = writer_.append(epoch, wal::RecordType::kLineUndo,
-                            std::as_bytes(std::span(&payload, 1)));
-  if (end.ok()) {
-    ++stats_.records;
-    stats_.bytes_staged += wal::record_frame_size(sizeof(payload));
-    staged_.store(writer_.appended(), std::memory_order_release);
-    if (auto* chk = pm_->checker()) {
-      chk->on_log_append(id_, line.value, end.value());
-    }
-  }
-  return end;
-}
-
 Status UndoLogger::log_lines(
     Epoch epoch, std::span<const std::pair<LineIndex, LineData>> items,
-    std::vector<std::uint64_t>* ends_out) {
+    std::span<UndoEntryRef> refs_out) {
+  PAX_CHECK(refs_out.size() == items.size());
   if (items.empty()) return Status::ok();
 
-  std::vector<wal::LineUndoPayload> payloads(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    payloads[i].line_index = items[i].first.value;
-    payloads[i].old_data = items[i].second;
+  // All-or-nothing: the whole batch must fit before any frame is staged.
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < items.size(); i += kMaxFrameEntries) {
+    const std::size_t n = std::min(kMaxFrameEntries, items.size() - i);
+    total += wal::record_frame_size(n * wal::kLineUndoEntrySize);
   }
-  auto end = writer_.append_batch(
-      epoch, wal::RecordType::kLineUndo,
-      std::as_bytes(std::span(payloads.data(), payloads.size())),
-      sizeof(wal::LineUndoPayload), ends_out);
-  if (!end.ok()) return end.status();
+  if (writer_.appended() + total > writer_.extent_size()) {
+    return out_of_space("undo log extent full");
+  }
 
-  stats_.records += items.size();
-  stats_.bytes_staged +=
-      items.size() * wal::record_frame_size(sizeof(wal::LineUndoPayload));
-  ++stats_.group_appends;
+  UndoEntryRef* ref = refs_out.data();
+  for (std::size_t i = 0; i < items.size(); i += kMaxFrameEntries) {
+    const auto chunk =
+        items.subspan(i, std::min(kMaxFrameEntries, items.size() - i));
+    wal::encode_line_undo_frame(chunk, &payload_);
+    const std::uint64_t start = writer_.appended();
+    auto end = writer_.append(epoch, wal::RecordType::kLineUndoFrame, payload_);
+    PAX_CHECK_MSG(end.ok(), "undo frame outgrew its space check");
+    // Every entry of the frame is gated on the frame's end: the frame's CRC
+    // makes it durable (or torn) as a whole.
+    std::uint64_t entry_at = start + sizeof(wal::RecordHeader);
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      *ref++ = {end.value(), entry_at};
+      entry_at += wal::kLineUndoEntrySize;
+    }
+    ++stats_.frames;
+    stats_.records += chunk.size();
+    stats_.bytes_staged += end.value() - start;
+  }
   staged_.store(writer_.appended(), std::memory_order_release);
   if (auto* chk = pm_->checker()) {
-    // append_batch appended our ends at the tail of ends_out (callers may
-    // pass a partially-filled vector).
-    const std::size_t base = ends_out->size() - items.size();
     for (std::size_t i = 0; i < items.size(); ++i) {
-      chk->on_log_append(id_, items[i].first.value, (*ends_out)[base + i]);
+      chk->on_log_append(id_, items[i].first.value,
+                         refs_out[i].frame_end);
     }
   }
   return Status::ok();
 }
 
-void UndoLogger::enable_ring(std::size_t slots) {
-  PAX_CHECK_MSG(!ring_enabled(), "ring already enabled");
-  PAX_CHECK_MSG(writer_.appended() == 0 && staged() == 0,
-                "enable_ring must precede the first append");
-  std::uint64_t n = 2;
-  while (n < slots) n *= 2;
-  ring_slots_ = n;
-  ring_mask_ = n - 1;
-  ring_ = std::make_unique<RingSlot[]>(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ring_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-void UndoLogger::fill_and_publish(std::uint64_t ticket, Epoch epoch,
-                                  LineIndex line, const LineData& old_data,
-                                  std::uint64_t end, bool aborted) {
-  RingSlot& slot = ring_[ticket & ring_mask_];
-  std::uint64_t spins = 0;
-  while (slot.seq.load(std::memory_order_acquire) != ticket) {
-    // Ring full: the consumer lags. Self-drain (the drain mutex is a leaf,
-    // legal under a stripe mutex), then yield to whoever holds an earlier
-    // unpublished ticket.
-    if (spins++ == 0) {
-      ring_stall_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    drain_ring();
-    std::this_thread::yield();
-  }
-  slot.epoch = epoch;
-  slot.line = line.value;
-  slot.end = end;
-  slot.aborted = aborted;
-  if (!aborted) slot.old_data = old_data;
-  slot.seq.store(ticket + 1, std::memory_order_release);
-}
-
-Result<std::uint64_t> UndoLogger::ring_append(Epoch epoch, LineIndex line,
-                                              const LineData& old_data) {
-  const std::uint64_t t =
-      ring_tickets_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t end = (t + 1) * kRingFrame;
-  if (end > writer_.extent_size()) {
-    // Aborted slots must still publish so the consumer's contiguous scan
-    // advances past them; capacity is monotone in the ticket, so every
-    // later reservation aborts too (aborts form a suffix until reset).
-    ring_abort_count_.fetch_add(1, std::memory_order_relaxed);
-    fill_and_publish(t, epoch, line, old_data, end, /*aborted=*/true);
-    return out_of_space("undo log extent full");
-  }
-  fill_and_publish(t, epoch, line, old_data, end, /*aborted=*/false);
-  ring_append_count_.fetch_add(1, std::memory_order_relaxed);
-  return end;
-}
-
-Status UndoLogger::ring_append_batch(
-    Epoch epoch, std::span<const std::pair<LineIndex, LineData>> items,
-    std::vector<std::uint64_t>* ends_out) {
-  if (items.empty()) return Status::ok();
-  const std::uint64_t t0 =
-      ring_tickets_.fetch_add(items.size(), std::memory_order_relaxed);
-  // All-or-nothing: if the last record of the batch doesn't fit, publish
-  // the whole batch aborted (nothing reaches the writer).
-  const bool fits = (t0 + items.size()) * kRingFrame <= writer_.extent_size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    fill_and_publish(t0 + i, epoch, items[i].first, items[i].second,
-                     (t0 + i + 1) * kRingFrame, /*aborted=*/!fits);
-  }
-  if (!fits) {
-    ring_abort_count_.fetch_add(items.size(), std::memory_order_relaxed);
-    return out_of_space("undo log extent full");
-  }
-  ring_append_count_.fetch_add(items.size(), std::memory_order_relaxed);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ends_out->push_back((t0 + i + 1) * kRingFrame);
-  }
-  return Status::ok();
-}
-
-void UndoLogger::drain_ring() {
-  std::lock_guard<std::mutex> guard(ring_drain_mu_);
-  drain_ring_locked();
-}
-
-void UndoLogger::drain_ring_locked() {
-  for (;;) {
-    RingSlot& slot = ring_[ring_consumed_ & ring_mask_];
-    if (slot.seq.load(std::memory_order_acquire) != ring_consumed_ + 1) {
-      return;  // next slot not yet published — stop at the contiguous edge
-    }
-    if (!slot.aborted) {
-      wal::LineUndoPayload payload{};
-      payload.line_index = slot.line;
-      payload.old_data = slot.old_data;
-      auto end = writer_.append(slot.epoch, wal::RecordType::kLineUndo,
-                                std::as_bytes(std::span(&payload, 1)));
-      PAX_CHECK_MSG(end.ok() && end.value() == slot.end,
-                    "ring reservation diverged from the append cursor");
-      ++stats_.records;
-      stats_.bytes_staged += kRingFrame;
-      staged_.store(writer_.appended(), std::memory_order_release);
-      if (auto* chk = pm_->checker()) {
-        chk->on_log_append(id_, slot.line, slot.end);
-      }
-    }
-    slot.seq.store(ring_consumed_ + ring_slots_, std::memory_order_release);
-    ++ring_consumed_;
-  }
+Result<UndoEntryRef> UndoLogger::log_line(Epoch epoch, LineIndex line,
+                                          const LineData& old_data) {
+  const std::pair<LineIndex, LineData> item{line, old_data};
+  UndoEntryRef ref;
+  PAX_RETURN_IF_ERROR(
+      log_lines(epoch, std::span(&item, 1), std::span(&ref, 1)));
+  return ref;
 }
 
 void UndoLogger::flush() {
-  std::unique_lock<std::mutex> drain_guard(ring_drain_mu_, std::defer_lock);
-  if (ring_enabled()) {
-    // Drain-then-flush under the drain mutex: the durable watermark may
-    // only cover records physically replayed into the extent, and the
-    // checker must see their appends before this flush.
-    drain_guard.lock();
-    drain_ring_locked();
-  }
   ++stats_.flushes;
   writer_.flush();
   // The checker sees the new watermark *before* it is published to the
@@ -191,19 +75,6 @@ void UndoLogger::flush() {
 }
 
 void UndoLogger::reset_after_commit() {
-  if (ring_enabled()) {
-    // Caller quiesced the data path (exclusive epoch lock): no producer
-    // holds an unpublished ticket. Replay any published leftovers (stale
-    // under the just-committed epoch cell, but keeps the cursors honest),
-    // then rewind the ring with the writer.
-    std::lock_guard<std::mutex> guard(ring_drain_mu_);
-    drain_ring_locked();
-    ring_tickets_.store(0, std::memory_order_relaxed);
-    ring_consumed_ = 0;
-    for (std::uint64_t i = 0; i < ring_slots_; ++i) {
-      ring_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
   writer_.reset();
   if (auto* chk = pm_->checker()) chk->on_log_reset(id_);
   staged_.store(0, std::memory_order_release);

@@ -440,6 +440,9 @@ void KvServer::worker_loop(std::size_t shard) {
         // Group mode: park the acks with the coordinator; the next wave
         // releases them.
         std::lock_guard glock(co_mu_);
+        if (parked_writes_.empty()) {
+          oldest_parked_ = std::chrono::steady_clock::now();
+        }
         for (Completion& c : deferred) {
           parked_writes_.push_back(std::move(c));
         }
@@ -506,14 +509,19 @@ void KvServer::coordinator_loop() {
   std::unique_lock lock(co_mu_);
   for (;;) {
     if (parked_writes_.empty()) {
+      // Idle: the first ack to park fires a wave at once.
       co_cv_.wait(lock,
                   [this] { return co_stop_ || !parked_writes_.empty(); });
     } else {
-      // Cadence: fire when the pending-ack threshold is reached, or after
-      // group_interval with any ack parked — whichever comes first.
-      co_cv_.wait_for(lock, options_.group_interval, [this] {
-        return co_stop_ || parked_writes_.size() >= options_.group_max_ops;
-      });
+      // Acks parked while the last wave ran. Fire at group_max_ops, or
+      // group_interval after the oldest of them parked — not a fresh
+      // interval from now, which would add the last wave's duration to
+      // their wait.
+      co_cv_.wait_until(
+          lock, oldest_parked_ + options_.group_interval, [this] {
+            return co_stop_ ||
+                   parked_writes_.size() >= options_.group_max_ops;
+          });
     }
     if (parked_writes_.empty()) {
       if (co_stop_) return;
@@ -522,6 +530,7 @@ void KvServer::coordinator_loop() {
     std::vector<Completion> batch;
     batch.swap(parked_writes_);
     lock.unlock();
+    if (options_.on_wave_start) options_.on_wave_start();
 
     // One wave covers every shard these acks touched (and any other shard
     // dirtied meanwhile): a single cross-shard log-flush round.
@@ -639,10 +648,10 @@ std::string KvServer::stats_json() const {
             static_cast<unsigned long long>(pipe.backpressure_waits));
     appendf(out,
             "     \"log\": {\"flushes\": %llu, \"records\": %llu, "
-            "\"ring_appends\": %llu, \"ring_full_stalls\": %llu}}%s\n",
+            "\"frames\": %llu, \"ring_full_stalls\": %llu}}%s\n",
             static_cast<unsigned long long>(log.flushes),
             static_cast<unsigned long long>(log.records),
-            static_cast<unsigned long long>(log.ring_appends),
+            static_cast<unsigned long long>(log.frames),
             static_cast<unsigned long long>(log.ring_full_stalls),
             i + 1 < store_->shard_count() ? "," : "");
   }

@@ -33,13 +33,18 @@
 //
 //   kGroup        cross-shard epoch group commit. Writes are applied
 //                 immediately but their responses are parked with the
-//                 coordinator; the coordinator accumulates dirty shards
-//                 and, every group_interval (or sooner at group_max_ops
-//                 pending writes), issues ONE commit wave — one
-//                 persist_async() per dirty shard, drains overlapping on
-//                 each shard's epoch pipeline — then releases every parked
-//                 response at once. One log-flush round per WAVE, not per
-//                 write or per shard-batch.
+//                 coordinator, which issues ONE commit wave for all of
+//                 them — one persist_async() per dirty shard, drains
+//                 overlapping on each shard's epoch pipeline — then
+//                 releases every parked response at once. One log-flush
+//                 round per WAVE, not per write or per shard-batch.
+//                 Cadence: an ack that parks while the coordinator is idle
+//                 (no wave running, nothing parked) fires a wave at once.
+//                 Acks that park while a wave runs go to the next wave,
+//                 which fires when group_max_ops acks are parked or
+//                 group_interval after the oldest of them parked,
+//                 whichever comes first — at once if that time passed
+//                 while the running wave was still committing.
 //   kIndependent  per-shard commit: each worker commits its own shard
 //                 after each drained batch, then releases that batch's
 //                 write responses. The baseline group commit is measured
@@ -65,6 +70,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,10 +97,15 @@ struct KvServerOptions {
   /// disjoint connection set (clamped to >= 1).
   std::size_t loop_threads = 1;
 
-  /// kGroup cadence: a wave fires when this many write acks are pending…
+  /// kGroup cadence: a wave fires when this many write acks are parked…
   std::uint64_t group_max_ops = 256;
-  /// …or this long after the first of them arrived, whichever is first.
+  /// …or this long after the oldest parked ack arrived, whichever is first
+  /// (an ack that finds the coordinator idle fires a wave at once).
   std::chrono::microseconds group_interval{200};
+
+  /// Test hook: runs on the coordinator thread before each wave seals its
+  /// shards (a test holds a wave open with it). Empty when serving.
+  std::function<void()> on_wave_start;
 
   /// Reads pause once a connection has this many responses outstanding.
   std::size_t max_inflight_per_conn = 1024;
@@ -248,6 +259,8 @@ class KvServer {
   std::mutex co_mu_;
   std::condition_variable co_cv_;
   std::vector<Completion> parked_writes_;
+  // When the oldest ack in parked_writes_ parked (set as it goes non-empty).
+  std::chrono::steady_clock::time_point oldest_parked_;
   bool co_stop_ = false;
   std::thread co_thread_;
 

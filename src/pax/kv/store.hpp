@@ -70,7 +70,7 @@ struct KvStoreOptions {
   /// waves overlap request processing; the serving defaults keep it on.
   libpax::RuntimeOptions runtime = serving_runtime_defaults();
 
-  /// The serving configuration: pipelined epochs + lock-free undo ring,
+  /// The serving configuration: pipelined epochs (depth 2),
   /// line-granular tracking on.
   static libpax::RuntimeOptions serving_runtime_defaults();
 };

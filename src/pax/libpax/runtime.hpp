@@ -51,7 +51,9 @@ namespace pax::libpax {
 
 struct RuntimeOptions {
   /// Undo-log extent size (page-aligned). Bounds the per-epoch write set:
-  /// ~96 B of log per first-touched line.
+  /// a 68 B frame entry per first-touched line plus a 24 B header per frame
+  /// (one frame per sync_lines stripe group; ~70 B per line in practice,
+  /// 96 B for a line logged alone).
   std::size_t log_size = 4 << 20;
   device::DeviceConfig device = device::DeviceConfig::defaults();
   /// Start a background thread running sync_step() periodically: the

@@ -184,6 +184,7 @@ VpmRegion::Tracker process_tracker() {
 constexpr std::size_t kMaxRegions = 64;
 std::mutex g_registry_mu;  // serializes registration/unregistration only
 std::atomic<VpmRegion*> g_regions[kMaxRegions]{};
+std::atomic<void (*)()> g_fault_hook{nullptr};
 struct sigaction g_prev_sigsegv;
 bool g_handler_installed = false;
 
@@ -353,6 +354,12 @@ bool VpmRegion::mprotect_run(std::size_t first, std::size_t pages, int prot,
   if (::mprotect(base_ + first * kPageSize, pages * kPageSize, prot) != 0) {
     return false;
   }
+  set_written(first, pages, written);
+  return true;
+}
+
+void VpmRegion::set_written(std::size_t first, std::size_t pages,
+                            bool written) {
   const std::uint8_t flag = written ? 1 : 0;
   for (std::size_t p = first; p < first + pages; ++p) {
     if (written_[p].exchange(flag, std::memory_order_acq_rel) != flag) {
@@ -363,7 +370,10 @@ bool VpmRegion::mprotect_run(std::size_t first, std::size_t pages, int prot,
       }
     }
   }
-  return true;
+}
+
+void VpmRegion::set_fault_hook_for_testing(void (*hook)()) {
+  g_fault_hook.store(hook, std::memory_order_release);
 }
 
 Status VpmRegion::uffd_protect(std::size_t first, std::size_t pages,
@@ -490,11 +500,17 @@ bool VpmRegion::handle_fault(void* addr) {
   if (p < base_ || p >= base_ + size_) return false;
   const std::size_t page = static_cast<std::size_t>(p - base_) / kPageSize;
   // Lock-free atomics, mprotect and sched_yield only: this runs inside the
-  // signal handler. Unprotect, then flag, under the arming lock; the
+  // signal handler. Flag, then unprotect, under the arming lock; the
   // faulting store retries and succeeds. Two threads faulting the same page
-  // both get here — idempotent.
+  // both get here — idempotent. Without the lock, a take running between
+  // the flag and the unprotect would take and re-arm the page, then this
+  // unprotect would leave it writable with its flag clear: the retried
+  // store would never be taken.
   lock_arming();
-  const bool ok = mprotect_run(page, 1, PROT_READ | PROT_WRITE, true);
+  set_written(page, 1, true);
+  if (auto* hook = g_fault_hook.load(std::memory_order_acquire)) hook();
+  const bool ok = ::mprotect(base_ + page * kPageSize, kPageSize,
+                             PROT_READ | PROT_WRITE) == 0;
   unlock_arming();
   return ok;  // false: fall through to the previous handler → crash loudly
 }

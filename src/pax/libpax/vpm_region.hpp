@@ -126,6 +126,12 @@ class VpmRegion {
   /// handled.
   bool handle_fault(void* addr);
 
+  /// Test hook (mprotect tracker): called inside handle_fault between
+  /// flagging the page written and unprotecting it, with the arming lock
+  /// held. Runs in the SIGSEGV handler, so it must be async-signal-safe.
+  /// nullptr (the default) disables it.
+  static void set_fault_hook_for_testing(void (*hook)());
+
   // --- Line-granular tracking (track_lines mode) -------------------------
 
   bool track_lines() const { return track_lines_; }
@@ -181,6 +187,9 @@ class VpmRegion {
   /// Async-signal-safe. Caller holds arm_lock_.
   bool mprotect_run(std::size_t first, std::size_t pages, int prot,
                     bool written);
+  /// mprotect tracker: sets the written flags of [first, first + pages).
+  /// Async-signal-safe. Caller holds arm_lock_.
+  void set_written(std::size_t first, std::size_t pages, bool written);
   void lock_arming();
   void unlock_arming() { arm_lock_.store(false, std::memory_order_release); }
 

@@ -8,6 +8,15 @@
 // records tagged with epochs newer than the pool's committed epoch cell,
 // which is what makes log-extent reuse across epochs safe (stale records
 // from older epochs fail the epoch test, not the CRC test).
+//
+// The PAX device logs line pre-images in *frames*: one kLineUndoFrame record
+// per batch of lines (one sync_lines stripe group), i.e. one 24 B header and
+// one CRC over the whole frame, followed by packed 68 B entries of a u32 pool
+// line index and the line's 64 B pre-image: 24 + 68n B for n lines, rounded
+// up to 8. The CRC makes a frame all-or-nothing: a torn frame fails it and
+// recovery drops the whole frame, so the device must gate every line's
+// write-back on the *frame's* end offset, never on the end of the line's own
+// entry.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +27,13 @@ namespace pax::wal {
 
 enum class RecordType : std::uint16_t {
   kInvalid = 0,
-  kLineUndo = 1,   // payload: LineUndoPayload (old 64 B image of one line)
+  // 1 is retired (an older one-record-per-line format); do not reuse it.
   kPageUndo = 2,   // payload: u64 page index + 4096 B old page image
   kTxBegin = 3,    // PMDK baseline: transaction open marker
   kTxCommit = 4,   // PMDK baseline: transaction commit marker
   kRangeUndo = 5,  // PMDK baseline: u64 offset + u32 len + old bytes
   kAllocMeta = 6,  // allocator metadata change
+  kLineUndoFrame = 7,  // payload: packed line-undo entries (see below)
 };
 
 /// Fixed header preceding every record payload.
@@ -37,12 +47,18 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 24);
 
-/// Payload of a kLineUndo record: the pre-image of one cache line.
-struct LineUndoPayload {
-  std::uint64_t line_index;
+/// One entry of a kLineUndoFrame payload: a u32 pool line index, then the
+/// line's 64 B pre-image, packed (no padding between entries). A u32 index
+/// covers pools up to 256 GiB.
+constexpr std::size_t kLineUndoIndexSize = sizeof(std::uint32_t);
+constexpr std::size_t kLineUndoEntrySize = kLineUndoIndexSize + kCacheLineSize;
+static_assert(kLineUndoEntrySize == 68);
+
+/// A decoded line-undo entry.
+struct LineUndoEntry {
+  std::uint64_t line_index = 0;
   LineData old_data;
 };
-static_assert(sizeof(LineUndoPayload) == 8 + kCacheLineSize);
 
 /// Payload header of a kRangeUndo record (old bytes follow).
 struct RangeUndoHeader {

@@ -1,5 +1,6 @@
 #include "pax/wal/wal.hpp"
 
+#include <cstdint>
 #include <cstring>
 
 #include "pax/common/check.hpp"
@@ -59,41 +60,6 @@ Result<std::uint64_t> LogWriter::append(Epoch epoch, RecordType type,
   return appended_;
 }
 
-Result<std::uint64_t> LogWriter::append_batch(
-    Epoch epoch, RecordType type, std::span<const std::byte> payloads,
-    std::size_t payload_size, std::vector<std::uint64_t>* ends_out) {
-  PAX_CHECK(payload_size > 0 && payloads.size() % payload_size == 0);
-  const std::size_t count = payloads.size() / payload_size;
-  if (count == 0) return appended_;
-  const std::size_t frame = record_frame_size(payload_size);
-  const std::size_t total = frame * count;
-  if (appended_ + total > extent_size_) {
-    return out_of_space("undo log extent full");
-  }
-
-  batch_scratch_.assign(total, std::byte{0});  // zeroed alignment padding
-  if (ends_out != nullptr) ends_out->reserve(ends_out->size() + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<const std::byte> payload =
-        payloads.subspan(i * payload_size, payload_size);
-    RecordHeader h{};
-    h.payload_size = static_cast<std::uint32_t>(payload_size);
-    h.epoch = epoch;
-    h.type = static_cast<std::uint16_t>(type);
-    h.masked_crc = record_crc(h, payload);
-    std::byte* frame_at = batch_scratch_.data() + i * frame;
-    std::memcpy(frame_at, &h, sizeof(h));
-    std::memcpy(frame_at + sizeof(RecordHeader), payload.data(),
-                payload_size);
-    if (ends_out != nullptr) {
-      ends_out->push_back(appended_ + (i + 1) * frame);
-    }
-  }
-  device_->store(extent_offset_ + appended_, batch_scratch_);
-  appended_ += total;
-  return appended_;
-}
-
 void LogWriter::flush() {
   if (durable_ >= appended_) {
     // Nothing staged; still a fence for callers relying on ordering.
@@ -108,6 +74,45 @@ void LogWriter::flush() {
 void LogWriter::reset() {
   appended_ = 0;
   durable_ = 0;
+}
+
+void encode_line_undo_frame(
+    std::span<const std::pair<LineIndex, LineData>> items,
+    std::vector<std::byte>* out) {
+  out->resize(items.size() * kLineUndoEntrySize);
+  std::byte* at = out->data();
+  for (const auto& [line, image] : items) {
+    PAX_CHECK_MSG(line.value <= UINT32_MAX, "line index exceeds u32");
+    const auto index = static_cast<std::uint32_t>(line.value);
+    std::memcpy(at, &index, kLineUndoIndexSize);
+    std::memcpy(at + kLineUndoIndexSize, image.bytes.data(), kCacheLineSize);
+    at += kLineUndoEntrySize;
+  }
+}
+
+LineUndoEntry decode_line_undo_entry(
+    std::span<const std::byte, kLineUndoEntrySize> entry) {
+  std::uint32_t index = 0;
+  std::memcpy(&index, entry.data(), kLineUndoIndexSize);
+  LineUndoEntry e;
+  e.line_index = index;
+  std::memcpy(e.old_data.bytes.data(), entry.data() + kLineUndoIndexSize,
+              kCacheLineSize);
+  return e;
+}
+
+Result<std::vector<LineUndoEntry>> decode_line_undo_frame(
+    std::span<const std::byte> payload) {
+  if (payload.empty() || payload.size() % kLineUndoEntrySize != 0) {
+    return corruption("line-undo frame is not a whole number of entries");
+  }
+  std::vector<LineUndoEntry> entries;
+  entries.reserve(payload.size() / kLineUndoEntrySize);
+  for (std::size_t at = 0; at < payload.size(); at += kLineUndoEntrySize) {
+    entries.push_back(decode_line_undo_entry(
+        payload.subspan(at).first<kLineUndoEntrySize>()));
+  }
+  return entries;
 }
 
 LogReader::LogReader(const pmem::PmemDevice* device, PoolOffset extent_offset,

@@ -6,12 +6,13 @@
 // the durable offset. The gap between appended() and durable() is what the
 // PAX device exploits for asynchronous logging: records accumulate cheaply
 // and are flushed off the application's critical path, and write-back of a
-// data line is gated on its undo record's end offset being ≤ durable().
+// data line is gated on its undo frame's end offset being ≤ durable().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pax/common/status.hpp"
@@ -34,19 +35,6 @@ class LogWriter {
   Result<std::uint64_t> append(Epoch epoch, RecordType type,
                                std::span<const std::byte> payload);
 
-  /// Group append: stages `payloads.size() / payload_size` equally-sized
-  /// records of the same type in one framing pass. All frames (headers,
-  /// payloads, padding) are built into one contiguous staging buffer and
-  /// handed to the PM device as a single store, so the per-record framing
-  /// and store overhead is amortized across the batch. All-or-nothing:
-  /// returns kOutOfSpace (staging nothing) if the extent cannot hold the
-  /// whole batch. Per-record end offsets are appended to `ends_out`; the
-  /// returned value is the batch's final end offset (== appended()).
-  Result<std::uint64_t> append_batch(Epoch epoch, RecordType type,
-                                     std::span<const std::byte> payloads,
-                                     std::size_t payload_size,
-                                     std::vector<std::uint64_t>* ends_out);
-
   /// Makes all appended records durable (flush lines + drain).
   void flush();
 
@@ -68,8 +56,22 @@ class LogWriter {
   std::size_t extent_size_;
   std::uint64_t appended_ = 0;
   std::uint64_t durable_ = 0;
-  std::vector<std::byte> batch_scratch_;  // reused by append_batch
 };
+
+/// Encodes `items` as a kLineUndoFrame payload into `out` (resized to
+/// items.size() × kLineUndoEntrySize). Every line index must fit in u32.
+void encode_line_undo_frame(
+    std::span<const std::pair<LineIndex, LineData>> items,
+    std::vector<std::byte>* out);
+
+/// Decodes the kLineUndoEntrySize bytes of one entry.
+LineUndoEntry decode_line_undo_entry(
+    std::span<const std::byte, kLineUndoEntrySize> entry);
+
+/// Decodes a kLineUndoFrame payload. kCorruption unless it holds a whole,
+/// non-zero number of entries.
+Result<std::vector<LineUndoEntry>> decode_line_undo_frame(
+    std::span<const std::byte> payload);
 
 /// One decoded record.
 struct LogRecord {

@@ -1,11 +1,15 @@
 // Seeded-bug coverage for CrashExplorer: each deleted ordering edge must be
 // localized to its exact first bad crash index, and the correct twin of the
-// same workload must enumerate clean at every crash point (k = 1).
+// same workload must enumerate clean at every crash point (k = 1). The
+// edges are those of the device's undo protocol: a line's write-back waits
+// for its whole undo frame, and the epoch commit waits for a fence.
 #include "pax/check/crashpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "pax/pmem/pmem_device.hpp"
 #include "pax/pmem/pool.hpp"
@@ -28,13 +32,19 @@ constexpr std::uint64_t kLinesPerEpoch = 2;
 struct WalBugs {
   bool skip_undo_flush = false;    // Bug A: write-back before undo durable
   bool skip_commit_drain = false;  // Bug B: commit without fence
+  // Bug C: a line's write-back gated on the end of its own entry instead of
+  // the end of its frame — the log is made durable only up to the entry,
+  // so a crash can tear the frame's tail and recovery drops the frame whole.
+  bool gate_on_entry_end = false;
 };
 
-// The §3.3 undo-WAL protocol over a raw device, with both ordering edges
-// explicit. Each bug switch deletes one edge; `vulnerable_out` captures the
-// first device event index at which the deleted edge matters (set once, on
-// whichever execution reaches it first — the count is identical on every
-// run, which the explorer verifies).
+// The §3.3 undo-WAL protocol over a raw device, with its ordering edges
+// explicit: each epoch logs its lines' pre-images as one undo frame, makes
+// the frame durable, then writes the lines back. Each bug switch deletes
+// one edge; `vulnerable_out` captures the first device event index at which
+// the deleted edge matters (set once, on whichever execution reaches it
+// first — the count is identical on every run, which the explorer
+// verifies).
 Status wal_workload(pmem::PmemDevice& dev, CrashOracle& oracle,
                     const WalBugs& bugs, std::uint64_t* vulnerable_out) {
   auto pool = pmem::PmemPool::create(&dev, kLogBytes);
@@ -43,29 +53,51 @@ Status wal_workload(pmem::PmemDevice& dev, CrashOracle& oracle,
   PAX_RETURN_IF_ERROR(oracle.note_commit(p.committed_epoch()));
   const std::size_t half = (p.log_size() / 2) & ~(kCacheLineSize - 1);
   wal::LogWriter log(&dev, p.log_offset(), half);
+  const auto data_line = [&](std::uint64_t i) {
+    return LineIndex{p.data_offset() / kCacheLineSize + i};
+  };
   for (Epoch e = 1; e <= kEpochs; ++e) {
+    std::vector<std::pair<LineIndex, LineData>> undo;
     for (std::uint64_t i = 0; i < kLinesPerEpoch; ++i) {
-      const LineIndex line{p.data_offset() / kCacheLineSize + i};
-      wal::LineUndoPayload undo;
-      undo.line_index = line.value;
-      undo.old_data = dev.load_line(line);
-      auto end = log.append(
-          e, wal::RecordType::kLineUndo,
-          std::span<const std::byte>(
-              reinterpret_cast<const std::byte*>(&undo), sizeof(undo)));
-      if (!end.ok()) return end.status();
-      if (!bugs.skip_undo_flush) log.flush();  // undo durable before data
+      undo.emplace_back(data_line(i), dev.load_line(data_line(i)));
+    }
+    std::vector<std::byte> payload;
+    wal::encode_line_undo_frame(undo, &payload);
+    const PoolOffset frame_at = p.log_offset() + log.appended();
+    auto end = log.append(e, wal::RecordType::kLineUndoFrame, payload);
+    if (!end.ok()) return end.status();
+    for (std::uint64_t i = 0; i < kLinesPerEpoch; ++i) {
+      const LineIndex line = data_line(i);
+      const std::size_t entry_end = sizeof(wal::RecordHeader) +
+                                    (i + 1) * wal::kLineUndoEntrySize;
+      if (bugs.gate_on_entry_end) {
+        dev.flush_range(frame_at, entry_end);  // only up to this entry
+        dev.drain();
+      } else if (!bugs.skip_undo_flush) {
+        log.flush();  // the whole frame durable before data
+      }
       dev.store_line(line, testing::patterned_line(e * 16 + i));
       dev.flush_line(line);
-      if (bugs.skip_undo_flush && vulnerable_out != nullptr &&
+      // Bug C bites once a line of the frame past this entry still differs
+      // from the media (a tail that happens to match — e.g. all-zero
+      // pre-images over a fresh extent — leaves the CRC intact).
+      bool frame_volatile = bugs.skip_undo_flush;
+      for (LineIndex l{LineIndex::containing(frame_at + entry_end - 1).value +
+                       1};
+           bugs.gate_on_entry_end &&
+           l <= LineIndex::containing(p.log_offset() + end.value() - 1);
+           ++l.value) {
+        frame_volatile |= !(dev.load_line(l) == dev.durable_line(l));
+      }
+      if (frame_volatile && vulnerable_out != nullptr &&
           *vulnerable_out == 0) {
-        *vulnerable_out = dev.crash_events();  // data durable, undo is not
+        *vulnerable_out = dev.crash_events();  // data durable, frame is not
       }
     }
-    log.flush();  // no-op edge when per-line flushes ran; catch-up when not
+    log.flush();  // no-op edge when the frame is durable; catch-up when not
     // Touch a data line after the log flush so the commit genuinely depends
     // on the epoch-closing drain below.
-    const LineIndex line{p.data_offset() / kCacheLineSize};
+    const LineIndex line = data_line(0);
     dev.store_line(line, testing::patterned_line(e * 16));
     dev.flush_line(line);
     if (bugs.skip_commit_drain) {
@@ -123,6 +155,27 @@ TEST(CrashExplorer, WritebackBeforeUndoDurableLocalizedExactly) {
   ASSERT_NE(vulnerable, 0u);
   // First bad point: the flush that made the data line durable while its
   // undo record was still in the pending overlay.
+  EXPECT_EQ(r.first_bad(), vulnerable) << r.to_string();
+  EXPECT_NE(r.findings.front().detail.find("diverges"), std::string::npos)
+      << r.findings.front().detail;
+}
+
+TEST(CrashExplorer, WritebackGatedOnEntryInsteadOfFrameLocalizedExactly) {
+  WalBugs bugs;
+  bugs.gate_on_entry_end = true;
+  std::uint64_t vulnerable = 0;
+  CrashExplorerOptions options;
+  options.modes = {{"drop_all", pmem::CrashConfig::drop_all()}};
+  options.max_findings = 1;
+  auto explorer = make_explorer(bugs, &vulnerable, options);
+  auto result = explorer.explore();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const ExplorationResult& r = result.value();
+  ASSERT_FALSE(r.clean());
+  ASSERT_NE(vulnerable, 0u);
+  // First bad point: the flush that made the first line's new data durable
+  // while its entry was durable but the rest of its frame was not. Recovery
+  // finds the frame torn, drops it whole, and cannot roll the line back.
   EXPECT_EQ(r.first_bad(), vulnerable) << r.to_string();
   EXPECT_NE(r.findings.front().detail.find("diverges"), std::string::npos)
       << r.findings.front().detail;

@@ -1,8 +1,9 @@
 // KvServer over loopback: basic ops, pipelined ordering (with and without
 // the in-flight cap pausing reads), commit modes, the STATS surface,
-// protocol-error handling, accept recovery after fd exhaustion, and a
-// concurrent torture run — all run at 1 and 4 event loops, so the
-// multi-loop SO_REUSEPORT path must behave like the single loop.
+// protocol-error handling, accept recovery after fd exhaustion, the
+// group-commit cadence, and a concurrent torture run — the matrix cases
+// run at 1 and 4 event loops, so the multi-loop SO_REUSEPORT path must
+// behave like the single loop.
 // This test rides in the TSan CI job: the torture case at 4 loops is the
 // data-race check for the loop / shard worker / coordinator handoffs.
 #include <arpa/inet.h>
@@ -14,6 +15,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,7 +180,7 @@ TEST_P(KvServerMatrix, StatsExposesShardRuntimeAndGroupCommit) {
        {"\"commit_mode\": \"group\"", "\"loops\"",
         "\"log_flushes_total\"", "\"acked_write_ops\"", "\"group_commit\"",
         "\"waves\"", "\"shard_stats\"", "\"sync\"", "\"tracker\"",
-        "\"pipeline\"", "\"ring_appends\""}) {
+        "\"pipeline\"", "\"frames\"", "\"ring_full_stalls\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n"
                                                     << json;
   }
@@ -337,6 +340,76 @@ TEST_P(KvServerMatrix, ConcurrentTorture) {
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(stats.protocol_errors, 0u);
   server.value()->stop();  // explicit stop before destruction: idempotent
+}
+
+// Group-commit cadence: an ack that parks while a wave is committing must
+// be released group_interval after it parked — not group_interval after
+// that wave ends. The hook holds wave 1 open for kHold after the second
+// PUT is sent, so the old "fresh interval from the wave's end" rule cannot
+// ack it before kHold + kInterval, while the documented rule acks it at
+// about kInterval.
+TEST(KvServerCadence, AckParkedDuringAWaveWaitsIntervalFromItsOwnArrival) {
+  constexpr auto kInterval = std::chrono::milliseconds(400);
+  constexpr auto kHold = std::chrono::milliseconds(300);
+  std::mutex mu;
+  std::condition_variable cv;
+  int waves = 0;
+  bool release = false;
+
+  KvServerOptions options;
+  options.store.shards = 2;
+  options.store.shard_pool_bytes = 8 << 20;
+  options.store.map_shards = 4;
+  options.group_interval = kInterval;
+  options.on_wave_start = [&] {
+    std::unique_lock lock(mu);
+    if (++waves == 1) {
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+  };
+  auto server = KvServer::start(options);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  auto first = connect_to(*server.value());
+  auto second = connect_to(*server.value());
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  // Wave 1 fires at once from idle for the first PUT, and is held open.
+  std::thread first_put([&] {
+    auto r = first.value().put("first", "1");
+    EXPECT_TRUE(r.ok() && r.value().status == RespStatus::kOk);
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return waves == 1; });
+  }
+
+  // The second PUT parks while wave 1 is still committing.
+  const auto sent = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration acked{};
+  std::thread second_put([&] {
+    auto r = second.value().put("second", "2");
+    acked = std::chrono::steady_clock::now() - sent;
+    EXPECT_TRUE(r.ok() && r.value().status == RespStatus::kOk);
+  });
+  std::this_thread::sleep_for(kHold);
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  first_put.join();
+  second_put.join();
+
+  EXPECT_GE(acked, kInterval);
+  EXPECT_LT(acked, kHold + kInterval)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(acked).count()
+      << " ms: the wait restarted when wave 1 ended";
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(waves, 2);
+  }
+  server.value()->stop();
 }
 
 std::string param_name(const ::testing::TestParamInfo<std::size_t>& info) {

@@ -2,7 +2,7 @@
 // dirty set into a sealed-epoch snapshot and returns while a background
 // drain worker runs diff → sync → seal → commit. These tests cover snapshot
 // isolation (epoch N+1 mutations must never leak into epoch N's image),
-// in-order commits, back-pressure, the lock-free log ring, and crash
+// in-order commits, back-pressure, batch-framed undo logging, and crash
 // behavior with snapshots still queued.
 #include <gtest/gtest.h>
 
@@ -16,12 +16,11 @@ namespace {
 
 constexpr std::size_t kPool = 32 << 20;
 
-RuntimeOptions options(std::size_t depth = 2, std::size_t ring = 0) {
+RuntimeOptions options(std::size_t depth = 2) {
   RuntimeOptions o;
   o.log_size = 4 << 20;
   o.device.log_flush_batch_bytes = 0;
   o.pipeline_depth = depth;
-  o.device.log_ring_slots = ring;
   return o;
 }
 
@@ -188,19 +187,22 @@ TEST(EpochPipelineTest, AbandonedSnapshotsBehaveLikeACrash) {
   }
 }
 
-TEST(EpochPipelineTest, LogRingEliminatesAppendMutexAcquisitions) {
+TEST(EpochPipelineTest, DrainLogsOneUndoFramePerLogMutexHold) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   {
-    auto rt = PaxRuntime::attach(pm.get(),
-                                 options(/*depth=*/2, /*ring=*/256))
-                  .value();
+    auto rt = PaxRuntime::attach(pm.get(), options(/*depth=*/2)).value();
     for (int e = 1; e <= 4; ++e) {
       std::memset(rt->vpm_base() + 4096, 0x30 + e, 64 << 10);
       ASSERT_TRUE(rt->persist().ok());
     }
+    // Every log-mutex hold appends exactly one frame, and a frame carries
+    // a whole stripe group of lines, not one line.
     const auto ds = rt->device().stats();
-    EXPECT_GT(ds.log_ring_appends, 0u);
-    EXPECT_EQ(ds.log_append_acquisitions, 0u);
+    const auto ls = rt->device().log_stats();
+    EXPECT_EQ(ds.log_append_acquisitions, ls.frames);
+    EXPECT_EQ(ls.records, ds.first_touch_logs);
+    EXPECT_GT(ls.records, 4 * ls.frames);
+    EXPECT_EQ(ls.ring_full_stalls, 0u);
   }
   pm->crash(pmem::CrashConfig::drop_all());
   auto rt = PaxRuntime::attach(pm.get(), options()).value();

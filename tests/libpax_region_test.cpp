@@ -5,7 +5,9 @@
 #include "pax/libpax/vpm_region.hpp"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -203,6 +205,61 @@ TEST(VpmRegionTest, TakesRacingWritersLoseNoStore) {
       ASSERT_EQ(words[p * kWords + w], seen[p * kWords + w])
           << "store to page " << p << " word " << w << " never taken";
     }
+  }
+}
+
+// The mprotect tracker's arming lock, forced deterministically: a writer's
+// fault handler is parked between flagging its page and unprotecting it
+// while the main thread takes the written set. With the lock, the take
+// waits for the handler and the store lands in a take; without it, the
+// take re-arms the page, the handler then unprotects it with its flag
+// clear, and the store is never taken.
+std::atomic<int> g_park_stage{0};  // 0 armed, 1 parked, 2 take finished
+
+void park_first_fault() {
+  int armed = 0;
+  if (!g_park_stage.compare_exchange_strong(armed, 1)) return;
+  // Async-signal-safe wait: until the take finished, or 200 ms (with the
+  // arming lock held the take cannot finish before this returns).
+  for (int i = 0; i < 200 && g_park_stage.load() != 2; ++i) {
+    const timespec ms{0, 1'000'000};
+    ::nanosleep(&ms, nullptr);
+  }
+}
+
+TEST(VpmRegionTest, TakeDuringParkedFaultLosesNoStore) {
+  auto region = VpmRegion::create(kRegionSize);
+  ASSERT_TRUE(region.ok());
+  auto& r = *region.value();
+  if (r.tracker() != VpmRegion::Tracker::kMprotect) {
+    GTEST_SKIP() << "mprotect tracker only (ctest runs it via no_uffd_exec)";
+  }
+  std::memset(r.base(), 0, kRegionSize);
+  ASSERT_TRUE(r.protect_all().is_ok());
+
+  constexpr std::size_t kPage = 5;
+  auto* word = reinterpret_cast<std::uint64_t*>(r.base() + kPage * kPageSize);
+  g_park_stage.store(0);
+  VpmRegion::set_fault_hook_for_testing(&park_first_fault);
+  std::thread writer([&] { __atomic_store_n(word, 42, __ATOMIC_RELAXED); });
+  while (g_park_stage.load() != 1) std::this_thread::yield();
+
+  // A diff of the take reads the taken pages.
+  std::uint64_t seen = 0;
+  for (PageIndex p : take(r)) {
+    if (p.value == kPage) seen = __atomic_load_n(word, __ATOMIC_RELAXED);
+  }
+  g_park_stage.store(2);
+  writer.join();
+  VpmRegion::set_fault_hook_for_testing(nullptr);
+
+  const auto final_take = take(r);
+  const bool in_final =
+      std::find(final_take.begin(), final_take.end(), PageIndex{kPage}) !=
+      final_take.end();
+  if (!in_final) {
+    EXPECT_EQ(*word, seen) << "the store to page " << kPage
+                           << " was never taken";
   }
 }
 

@@ -186,7 +186,6 @@ TEST(ShardedMapTest, ConcurrentGetsDuringPipelinedDrain) {
   {
     RuntimeOptions o = options();
     o.pipeline_depth = 2;
-    o.device.log_ring_slots = 256;
     auto rt = PaxRuntime::attach(pm.get(), o).value();
     auto map = Map::open(*rt, 16).value();
     for (std::uint64_t k = 0; k < 4000; ++k) map.put(k, k * 5);

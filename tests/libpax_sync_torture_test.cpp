@@ -141,9 +141,8 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
 
 // The two epoch paths whose recoveries must be bit-identical: synchronous
 // persists with the flusher racing the mutators, and pipelined epochs
-// (snapshot drains racing the resumed mutators, undo appends through the
-// lock-free ring). Each round dirties 2048 lines, several sync_lines
-// batches.
+// (snapshot drains racing the resumed mutators). Each round dirties 2048
+// lines, several sync_lines batches.
 RuntimeOptions sync_config() {
   RuntimeOptions o;
   o.start_flusher_thread = true;
@@ -154,7 +153,6 @@ RuntimeOptions sync_config() {
 RuntimeOptions pipelined_config() {
   RuntimeOptions o = sync_config();
   o.pipeline_depth = 2;
-  o.device.log_ring_slots = 128;
   return o;
 }
 

@@ -2,12 +2,16 @@
 // log extent, the scan must (a) never crash, (b) only ever return records
 // that were genuinely appended, and (c) return a *prefix* of the appended
 // sequence (a corrupted frame ends the scan; nothing after it can be
-// trusted because append order is the only order).
+// trusted because append order is the only order). Torn line-undo frames
+// come back whole or not at all.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "pax/common/rng.hpp"
+#include "pax/device/undo_logger.hpp"
 #include "pax/pmem/pmem_device.hpp"
 #include "pax/wal/wal.hpp"
 
@@ -39,7 +43,7 @@ TEST_P(WalFuzz, CorruptedLogYieldsOnlyGenuinePrefix) {
   std::vector<std::vector<std::byte>> originals;
   for (std::uint64_t i = 0; i < n_records; ++i) {
     auto p = payload_for(i);
-    ASSERT_TRUE(writer.append(1 + i % 7, RecordType::kLineUndo, p).ok());
+    ASSERT_TRUE(writer.append(1 + i % 7, RecordType::kAllocMeta, p).ok());
     originals.push_back(std::move(p));
   }
   writer.flush();
@@ -60,7 +64,7 @@ TEST_P(WalFuzz, CorruptedLogYieldsOnlyGenuinePrefix) {
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
   ASSERT_LE(records.size(), originals.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    ASSERT_EQ(records[i].type, RecordType::kLineUndo);
+    ASSERT_EQ(records[i].type, RecordType::kAllocMeta);
     ASSERT_EQ(records[i].epoch, 1 + i % 7) << "record " << i;
     ASSERT_EQ(records[i].payload, originals[i]) << "record " << i;
   }
@@ -74,14 +78,14 @@ TEST_P(WalFuzz, TornTailNeverYieldsPhantomRecords) {
   Xoshiro256 rng(seed * 13 + 5);
   const std::uint64_t durable_n = 10 + rng.next_below(40);
   for (std::uint64_t i = 0; i < durable_n; ++i) {
-    ASSERT_TRUE(writer.append(1, RecordType::kLineUndo, payload_for(i)).ok());
+    ASSERT_TRUE(writer.append(1, RecordType::kAllocMeta, payload_for(i)).ok());
   }
   writer.flush();
   // Stage more records, then crash with torn survival.
   const std::uint64_t volatile_n = 1 + rng.next_below(30);
   for (std::uint64_t i = 0; i < volatile_n; ++i) {
     ASSERT_TRUE(writer
-                    .append(1, RecordType::kLineUndo,
+                    .append(1, RecordType::kAllocMeta,
                             payload_for(durable_n + i))
                     .ok());
   }
@@ -91,6 +95,50 @@ TEST_P(WalFuzz, TornTailNeverYieldsPhantomRecords) {
   ASSERT_GE(records.size(), durable_n);  // durable prefix always intact
   for (std::size_t i = 0; i < records.size(); ++i) {
     ASSERT_EQ(records[i].payload, payload_for(i)) << "record " << i;
+  }
+}
+
+TEST_P(WalFuzz, TornUndoFramesDropWholeNeverPartially) {
+  // Multi-line undo frames staged after a durable prefix, then a torn
+  // crash: every frame read back is one that was appended, with all of its
+  // entries intact — a frame never yields a subset of its lines.
+  const std::uint64_t seed = GetParam();
+  auto dev = pmem::PmemDevice::create_in_memory(1 << 20);
+  device::UndoLogger logger(dev.get(), kExtent, kExtentSize);
+  Xoshiro256 rng(seed * 7 + 1);
+
+  std::vector<std::vector<std::pair<LineIndex, LineData>>> frames;
+  const auto stage = [&](std::size_t n) {
+    std::vector<std::pair<LineIndex, LineData>> items;
+    const std::size_t lines = 1 + rng.next_below(20);
+    for (std::size_t i = 0; i < lines; ++i) {
+      LineData d;
+      for (auto& b : d.bytes) b = static_cast<std::byte>(rng.next_below(256));
+      items.emplace_back(LineIndex{n * 64 + i}, d);
+    }
+    std::vector<device::UndoEntryRef> refs(items.size());
+    ASSERT_TRUE(logger.log_lines(3, items, refs).is_ok());
+    frames.push_back(std::move(items));
+  };
+  const std::size_t durable_n = 3 + rng.next_below(8);
+  for (std::size_t f = 0; f < durable_n; ++f) stage(f);
+  logger.flush();
+  const std::size_t volatile_n = 1 + rng.next_below(8);
+  for (std::size_t f = 0; f < volatile_n; ++f) stage(durable_n + f);
+  dev->crash(pmem::CrashConfig::torn(0.5, seed));
+
+  auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
+  ASSERT_GE(records.size(), durable_n);
+  ASSERT_LE(records.size(), frames.size());
+  for (std::size_t f = 0; f < records.size(); ++f) {
+    ASSERT_EQ(records[f].type, RecordType::kLineUndoFrame);
+    auto entries = decode_line_undo_frame(records[f].payload);
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries.value().size(), frames[f].size()) << "frame " << f;
+    for (std::size_t i = 0; i < frames[f].size(); ++i) {
+      EXPECT_EQ(entries.value()[i].line_index, frames[f][i].first.value);
+      EXPECT_EQ(entries.value()[i].old_data, frames[f][i].second);
+    }
   }
 }
 

@@ -28,23 +28,24 @@ struct WalFixture : ::testing::Test {
 
 TEST_F(WalFixture, AppendReadRoundTrip) {
   auto payload = bytes_of("hello undo log");
-  auto end = writer.append(3, RecordType::kLineUndo, payload);
+  auto end = writer.append(3, RecordType::kAllocMeta, payload);
   ASSERT_TRUE(end.ok());
   writer.flush();
 
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].epoch, 3u);
-  EXPECT_EQ(records[0].type, RecordType::kLineUndo);
+  EXPECT_EQ(records[0].type, RecordType::kAllocMeta);
   EXPECT_EQ(records[0].payload, payload);
   EXPECT_EQ(records[0].end_offset, end.value());
 }
 
 TEST_F(WalFixture, MultipleRecordsPreserveOrder) {
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        writer.append(1, RecordType::kLineUndo, bytes_of("rec" + std::to_string(i)))
-            .ok());
+    ASSERT_TRUE(writer
+                    .append(1, RecordType::kAllocMeta,
+                            bytes_of("rec" + std::to_string(i)))
+                    .ok());
   }
   writer.flush();
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
@@ -56,7 +57,7 @@ TEST_F(WalFixture, MultipleRecordsPreserveOrder) {
 
 TEST_F(WalFixture, DurabilityWatermarkAdvancesOnFlushOnly) {
   EXPECT_EQ(writer.durable(), 0u);
-  auto end = writer.append(1, RecordType::kLineUndo, bytes_of("x"));
+  auto end = writer.append(1, RecordType::kAllocMeta, bytes_of("x"));
   ASSERT_TRUE(end.ok());
   EXPECT_EQ(writer.durable(), 0u);
   EXPECT_EQ(writer.appended(), end.value());
@@ -65,9 +66,11 @@ TEST_F(WalFixture, DurabilityWatermarkAdvancesOnFlushOnly) {
 }
 
 TEST_F(WalFixture, UnflushedRecordVanishesOnCrash) {
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo, bytes_of("durable")).ok());
+  ASSERT_TRUE(
+      writer.append(1, RecordType::kAllocMeta, bytes_of("durable")).ok());
   writer.flush();
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo, bytes_of("volatile")).ok());
+  ASSERT_TRUE(
+      writer.append(1, RecordType::kAllocMeta, bytes_of("volatile")).ok());
   dev->crash(pmem::CrashConfig::drop_all());
 
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
@@ -76,12 +79,12 @@ TEST_F(WalFixture, UnflushedRecordVanishesOnCrash) {
 }
 
 TEST_F(WalFixture, TornRecordStopsScanWithoutCorruptingPriorRecords) {
-  ASSERT_TRUE(writer.append(2, RecordType::kLineUndo, bytes_of("good")).ok());
+  ASSERT_TRUE(writer.append(2, RecordType::kAllocMeta, bytes_of("good")).ok());
   writer.flush();
   // Stage a big multi-line record, then crash with ~half the lines surviving:
   // almost surely a torn frame.
   std::vector<std::byte> big(300, std::byte{0x61});
-  ASSERT_TRUE(writer.append(2, RecordType::kLineUndo, big).ok());
+  ASSERT_TRUE(writer.append(2, RecordType::kAllocMeta, big).ok());
   dev->crash(pmem::CrashConfig::random(0.5, /*seed=*/5));
 
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
@@ -97,13 +100,13 @@ TEST_F(WalFixture, StaleRecordsAfterResetAreReadableButEpochTagged) {
   // Epoch 1 writes two records; commit makes them stale; writer resets and
   // epoch 2 overwrites only the first slot. Scan must yield the new record
   // first, then the surviving stale one — distinguished by epoch tag.
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo,
+  ASSERT_TRUE(writer.append(1, RecordType::kAllocMeta,
                             bytes_of("aaaaaaaaaaaaaaaaaaaaaaaa")).ok());
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo,
+  ASSERT_TRUE(writer.append(1, RecordType::kAllocMeta,
                             bytes_of("bbbbbbbbbbbbbbbbbbbbbbbb")).ok());
   writer.flush();
   writer.reset();
-  ASSERT_TRUE(writer.append(2, RecordType::kLineUndo,
+  ASSERT_TRUE(writer.append(2, RecordType::kAllocMeta,
                             bytes_of("cccccccccccccccccccccccc")).ok());
   writer.flush();
 
@@ -117,8 +120,8 @@ TEST_F(WalFixture, StaleRecordsAfterResetAreReadableButEpochTagged) {
 TEST_F(WalFixture, OutOfSpaceReported) {
   LogWriter small(dev.get(), kExtent, 128);
   std::vector<std::byte> payload(64);
-  ASSERT_TRUE(small.append(1, RecordType::kLineUndo, payload).ok());
-  auto second = small.append(1, RecordType::kLineUndo, payload);
+  ASSERT_TRUE(small.append(1, RecordType::kAllocMeta, payload).ok());
+  auto second = small.append(1, RecordType::kAllocMeta, payload);
   EXPECT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kOutOfSpace);
 }
@@ -140,7 +143,7 @@ TEST_F(WalFixture, FrameSizesAreAligned) {
 }
 
 TEST_F(WalFixture, CorruptedPayloadByteDetected) {
-  auto end = writer.append(4, RecordType::kLineUndo, bytes_of("sensitive"));
+  auto end = writer.append(4, RecordType::kAllocMeta, bytes_of("sensitive"));
   ASSERT_TRUE(end.ok());
   writer.flush();
   // Durably flip one payload byte behind the CRC's back.

@@ -1,7 +1,8 @@
 // paxctl — inspect and repair PAX pool files.
 //
 //   paxctl info <pool>        pool geometry, committed epoch, root, heap
-//   paxctl log <pool>         decode the undo-log banks (epoch tags, lines)
+//   paxctl log <pool>         decode the undo-log banks (one line per frame:
+//                             epoch tag, line count, first lines)
 //   paxctl verify <pool>      validate header + every log record; dry-run
 //                             recovery and report what it would roll back
 //   paxctl recover <pool>     run recovery in place (what map_pool does)
@@ -24,8 +25,7 @@
 //                             random / torn, recover, and audit each
 //                             recovery (PaxCheck + snapshot equivalence);
 //                             --pipelined runs the workload with the epoch
-//                             pipeline + undo-append ring active; exit 1 on
-//                             any finding
+//                             pipeline active; exit 1 on any finding
 //   paxctl calibrate <fit.json> [<check.json>] [--loops N] [--wave-us W]
 //                  [--tolerance T]   fit the serving DES (pax::model::
 //                             calibrate) to a closed-loop paxkv-loadgen
@@ -113,19 +113,24 @@ void print_record(std::uint64_t bank, std::uint64_t index,
   const char* type = "?";
   std::string detail;
   switch (rec.type) {
-    case wal::RecordType::kLineUndo: {
+    case wal::RecordType::kLineUndoFrame: {
       type = "LINE_UNDO";
-      if (rec.payload.size() == sizeof(wal::LineUndoPayload)) {
-        wal::LineUndoPayload p;
-        std::memcpy(&p, rec.payload.data(), sizeof(p));
-        detail = "line " + std::to_string(p.line_index) + " (offset 0x" +
-                 [](std::uint64_t v) {
-                   char buf[32];
-                   std::snprintf(buf, sizeof(buf), "%" PRIx64, v * 64);
-                   return std::string(buf);
-                 }(p.line_index) +
-                 ")";
+      auto entries = wal::decode_line_undo_frame(rec.payload);
+      if (!entries.ok()) {
+        detail = "malformed frame";
+        break;
       }
+      // One frame holds a batch of lines; name the first few.
+      constexpr std::size_t kShown = 4;
+      const auto& e = entries.value();
+      detail = std::to_string(e.size()) + " line(s):";
+      for (std::size_t i = 0; i < e.size() && i < kShown; ++i) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), " %" PRIu64 " (0x%" PRIx64 ")",
+                      e[i].line_index, e[i].line_index * kCacheLineSize);
+        detail += buf;
+      }
+      if (e.size() > kShown) detail += " ...";
       break;
     }
     case wal::RecordType::kPageUndo:
@@ -239,10 +244,20 @@ int cmd_verify(pmem::PmemDevice* dev) {
                                                               half},
                            {p.log_offset() + half, p.log_size() - half}}) {
     for (const auto& rec : wal::LogReader::read_all(dev, off, size)) {
-      (rec.epoch > p.committed_epoch() ? uncommitted : stale) += 1;
+      std::uint64_t lines = 1;  // records other than line-undo frames
+      if (rec.type == wal::RecordType::kLineUndoFrame) {
+        auto entries = wal::decode_line_undo_frame(rec.payload);
+        if (!entries.ok()) {
+          std::printf("FAIL log scan: %s\n",
+                      entries.status().to_string().c_str());
+          return 1;
+        }
+        lines = entries.value().size();
+      }
+      (rec.epoch > p.committed_epoch() ? uncommitted : stale) += lines;
     }
   }
-  std::printf("OK   log scan: %" PRIu64 " uncommitted record(s), %" PRIu64
+  std::printf("OK   log scan: %" PRIu64 " uncommitted line record(s), %" PRIu64
               " stale\n",
               uncommitted, stale);
   if (uncommitted > 0) {
@@ -268,10 +283,12 @@ int cmd_recover(pmem::PmemDevice* dev) {
                  report.status().to_string().c_str());
     return 1;
   }
-  std::printf("recovered to epoch %" PRIu64 ": %" PRIu64
-              " records scanned, %" PRIu64 " applied, %" PRIu64 " stale\n",
-              report.value().recovered_epoch, report.value().records_scanned,
-              report.value().records_applied, report.value().stale_records);
+  std::printf("recovered to epoch %" PRIu64 ": %" PRIu64 " frame(s), %" PRIu64
+              " line records scanned, %" PRIu64 " applied, %" PRIu64
+              " stale\n",
+              report.value().recovered_epoch, report.value().frames_scanned,
+              report.value().records_scanned, report.value().records_applied,
+              report.value().stale_records);
   return 0;
 }
 
@@ -436,20 +453,17 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
   // The demo workload crash exploration enumerates: a full libpax stack
   // (attach, page mutation, blocking persists, crash-semantics teardown)
   // pinned deterministic so every re-execution counts the same events.
-  // --pipelined runs it with the epoch pipeline (and the undo-append ring)
-  // active: persist() still waits for its own epoch, so the workload thread
-  // quiesces while the drain worker runs alone — the event sequence stays
-  // deterministic with the drain thread live at every crash point.
+  // --pipelined runs it with the epoch pipeline active: persist() still
+  // waits for its own epoch, so the workload thread quiesces while the drain
+  // worker runs alone — the event sequence stays deterministic with the
+  // drain thread live at every crash point.
   const auto workload = [pages, epochs, pipelined](
                             pmem::PmemDevice& dev,
                             check::CrashOracle& oracle) -> Status {
     libpax::RuntimeOptions opts;
     opts.log_size = 256 << 10;
     opts.vpm_base_hint = 0x7d00'0000'0000ULL;  // byte-identical snapshots
-    if (pipelined) {
-      opts.pipeline_depth = 1;
-      opts.device.log_ring_slots = 64;
-    }
+    if (pipelined) opts.pipeline_depth = 1;
     opts = libpax::RuntimeOptions::deterministic(opts);
     auto rt = libpax::PaxRuntime::attach(&dev, opts);
     if (!rt.ok()) return rt.status();
